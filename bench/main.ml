@@ -75,11 +75,8 @@ let bench_rcv_tracker =
        end
      done)
 
-(* Both scoreboard rows price the streaming digest (the production
-   entry point); the list-building wrapper survives only as the parity
-   oracle in the tests. *)
-let ignore_cover ~seq:_ ~sent_at:_ ~was_retx:_ = ()
-
+(* Both scoreboard rows price the staged digest (the production entry
+   point). *)
 let bench_scoreboard =
   Test.make ~name:"sack.scoreboard.1000pkts+fb"
     (Staged.stage @@ fun () ->
@@ -90,11 +87,9 @@ let bench_scoreboard =
          ~size:1500 ~is_retx:false
      done;
      for k = 0 to 9 do
-       ignore
-         (Sack.Scoreboard.iter_feedback sb
-            ~cum_ack:(Packet.Serial.of_int (100 * (k + 1)))
-            ~blocks:[] ~on_ack:ignore_cover ~on_sack:ignore_cover
-            ~on_lost:ignore)
+       Sack.Scoreboard.digest sb
+         ~cum_ack:(Packet.Serial.of_int (100 * (k + 1)))
+         ~blocks:[]
      done)
 
 (* The LFN window: 30000 packets in flight (ring pre-sized, as an LFN
@@ -130,10 +125,7 @@ let[@vtp.ambient] bench_scoreboard_30k =
          ~size:1500 ~is_retx:false
      done;
      for k = 0 to 9 do
-       ignore
-         (Sack.Scoreboard.iter_feedback sb ~cum_ack:cums.(k)
-            ~blocks:blocks.(k) ~on_ack:ignore_cover ~on_sack:ignore_cover
-            ~on_lost:ignore)
+       Sack.Scoreboard.digest sb ~cum_ack:cums.(k) ~blocks:blocks.(k)
      done)
 
 let bench_reconstructor =

@@ -147,13 +147,6 @@ type sender_side = {
   mutable expiry_timer : Engine.Timer.t option;
   mutable plain_seq : Serial.t;  (* sequencing when no scoreboard *)
   mutable known_ce : int;  (* highest CE echo processed so far *)
-  (* Loss scratch for the SACK feedback path: newly inferred losses
-     are staged here (as raw serial ints) during the scoreboard digest
-     and fed to the reliability plane after the [Sack_rcvd] trace
-     emission, preserving the Loss_inferred* -> Sack_rcvd ->
-     Abandoned* event order without a per-feedback list. *)
-  mutable loss_scr : int array;
-  mutable loss_n : int;
 }
 
 type t = {
@@ -286,17 +279,6 @@ let transmit_opportunity t =
       end
       else false
 
-let push_loss t seq =
-  let n = t.snd.loss_n in
-  let cap = Array.length t.snd.loss_scr in
-  if n >= cap then begin
-    let nbuf = Array.make (2 * cap) 0 in
-    Array.blit t.snd.loss_scr 0 nbuf 0 cap;
-    t.snd.loss_scr <- nbuf
-  end;
-  t.snd.loss_scr.(n) <- Serial.to_int seq;
-  t.snd.loss_n <- n + 1
-
 (* Report the rate-update outcome to the invariant checker, when one is
    installed (the harness's checked mode).  [x_recv] and [p] are the
    bytes/s inputs the sender was just fed. *)
@@ -325,52 +307,47 @@ let inspect_sample t ~x_recv ~p =
           slow_start = Tfrc.Sender.in_slow_start cc;
         }
 
-let sender_on_sack t (sf : Header.sack_feedback) =
+(* After a digest: trace the feedback, then feed the staged losses
+   (ascending) to the reliability plane — the Loss_inferred* ->
+   Sack_rcvd -> Abandoned* event order. *)
+let report_sack t sb (sf : Header.sack_feedback) =
+  if Trace.Sink.on t.trace then
+    Trace.Sink.sack_rcvd t.trace ~cum_ack:sf.cum_ack
+      ~blocks:(List.length sf.blocks)
+      ~acked:(Sack.Scoreboard.fb_acked sb)
+      ~sacked:(Sack.Scoreboard.fb_sacked sb)
+      ~lost:(Sack.Scoreboard.fb_lost sb);
+  match t.snd.reliability with
+  | Some rel when Sack.Scoreboard.fb_lost sb > 0 ->
+      let now = Engine.Sim.now t.sim in
+      for k = 0 to Sack.Scoreboard.fb_lost sb - 1 do
+        Sack.Reliability.on_loss rel ~now (Sack.Scoreboard.lost_seq sb k)
+      done;
+      Tfrc.Sender.notify_data t.snd.cc
+  | Some _ | None -> ()
+
+(* The light plane replays the staged covers (ascending: acks then
+   sacks) into its loss history as one batch around [report_sack], then
+   feeds the reconstructed p to the rate controller. *)
+let[@vtp.hot] sender_on_sack t (sf : Header.sack_feedback) =
   match t.snd.scoreboard with
   | None -> ()
-  | Some sb ->
-      let now = Engine.Sim.now t.sim in
-      let rtt = Tfrc.Sender.rtt t.snd.cc in
-      (* Streaming digest: covers flow straight from the scoreboard into
-         the light plane's loss-history replay (ascending acks then
-         ascending sacks = merged ascending order) without per-cover
-         list materialisation — the trunk/LFN bulk-advance fast path.
-         Losses stay a list; they are rare and the reliability plane
-         takes them in one call. *)
-      let batch =
-        Option.map Loss_reconstructor.begin_batch t.snd.reconstructor
-      in
-      let on_cover ~seq ~sent_at ~was_retx =
-        match t.snd.reconstructor with
-        | Some lr ->
-            Loss_reconstructor.push_cover lr ~seq ~sent_at ~was_retx ~rtt
-              ~x_recv:sf.sack_x_recv ~packet_size:t.cfg.packet_size
-        | None -> ()
-      in
-      t.snd.loss_n <- 0;
-      let summary =
-        Sack.Scoreboard.iter_feedback sb ~cum_ack:sf.cum_ack ~blocks:sf.blocks
-          ~on_ack:on_cover ~on_sack:on_cover
-          ~on_lost:(fun seq -> push_loss t seq)
-      in
-      if Trace.Sink.on t.trace then
-        Trace.Sink.sack_rcvd t.trace ~cum_ack:sf.cum_ack
-          ~blocks:(List.length sf.blocks)
-          ~acked:summary.Sack.Scoreboard.fb_acked
-          ~sacked:summary.Sack.Scoreboard.fb_sacked
-          ~lost:summary.Sack.Scoreboard.fb_lost;
-      (* Feed the staged losses (ascending) after the Sack_rcvd emit. *)
-      (match t.snd.reliability with
-      | Some rel when t.snd.loss_n > 0 ->
-          for k = 0 to t.snd.loss_n - 1 do
-            Sack.Reliability.on_loss rel ~now (Serial.of_int t.snd.loss_scr.(k))
+  | Some sb -> (
+      Sack.Scoreboard.digest sb ~cum_ack:sf.cum_ack ~blocks:sf.blocks;
+      match t.snd.reconstructor with
+      | None -> report_sack t sb sf
+      | Some lr ->
+          let rtt = Tfrc.Sender.rtt t.snd.cc in
+          let batch = Loss_reconstructor.begin_batch lr in
+          for k = 0 to Sack.Scoreboard.fb_covers sb - 1 do
+            Loss_reconstructor.push_cover lr
+              ~seq:(Sack.Scoreboard.cover_seq sb k)
+              ~sent_at:(Sack.Scoreboard.cover_sent_at sb k)
+              ~was_retx:(Sack.Scoreboard.cover_was_retx sb k)
+              ~rtt ~x_recv:sf.sack_x_recv ~packet_size:t.cfg.packet_size
           done;
-          Tfrc.Sender.notify_data t.snd.cc
-      | Some _ | None -> ());
-      t.snd.loss_n <- 0;
-      (match (t.snd.reconstructor, batch) with
-      | Some lr, Some b ->
-          Loss_reconstructor.end_batch lr b;
+          report_sack t sb sf;
+          Loss_reconstructor.end_batch lr batch;
           if sf.sack_ce_count > t.snd.known_ce then begin
             Loss_reconstructor.on_ce_marks lr
               ~new_marks:(sf.sack_ce_count - t.snd.known_ce)
@@ -380,8 +357,7 @@ let sender_on_sack t (sf : Header.sack_feedback) =
           let p = Loss_reconstructor.loss_event_rate lr in
           Tfrc.Sender.on_feedback t.snd.cc ~tstamp_echo:sf.sack_tstamp_echo
             ~t_delay:sf.sack_t_delay ~x_recv:sf.sack_x_recv ~p;
-          inspect_sample t ~x_recv:sf.sack_x_recv ~p
-      | _ -> ())
+          inspect_sample t ~x_recv:sf.sack_x_recv ~p)
 
 let sender_on_std_feedback t (f : Header.feedback) =
   if Trace.Sink.on t.trace then
@@ -535,6 +511,14 @@ let[@vtp.hot] receiver_on_data t (d : Header.data) ~ce ~wire_size ~payload =
             | Some _ | None -> ()
           end)
   | Capabilities.Light, None -> ()
+
+(* In-order application delivery of one sequence number. *)
+let[@vtp.hot] deliver_to_app t ~seq ~size =
+  let now = Engine.Sim.now t.sim in
+  Stats.Series.record t.goodput ~time:now ~bytes:size;
+  let sent = Sent_times.take t.first_sent seq in
+  if not (Float.is_nan sent) then Stats.Fvec.push t.delays (now -. sent);
+  match t.on_deliver with Some f -> f ~seq ~size | None -> ()
 
 (* ------------------------------------------------------------------ *)
 (* Handshake *)
@@ -773,19 +757,10 @@ let build ~sim ~endpoint ?cost_sender ?cost_receiver ?source ~start_at
   in
   let source = match source with Some s -> s | None -> Source.greedy () in
   let t_ref = ref None in
-  let with_t f = match !t_ref with Some t -> f t | None -> () in
   let reassembly =
     Sack.Reassembly.create ?cost:cost_receiver
       ~deliver:(fun ~seq ~size ->
-        with_t (fun t ->
-            let now = Engine.Sim.now sim in
-            Stats.Series.record t.goodput ~time:now ~bytes:size;
-            let sent = Sent_times.take t.first_sent seq in
-            if not (Float.is_nan sent) then
-              Stats.Fvec.push t.delays (now -. sent);
-            match t.on_deliver with
-            | Some f -> f ~seq ~size
-            | None -> ()))
+        match !t_ref with Some t -> deliver_to_app t ~seq ~size | None -> ())
       ~on_gap:(fun ~skipped:_ -> ())
       ()
   in
@@ -824,8 +799,6 @@ let build ~sim ~endpoint ?cost_sender ?cost_receiver ?source ~start_at
           expiry_timer = None;
           plain_seq = Serial.zero;
           known_ce = 0;
-          loss_scr = Array.make 16 0;
-          loss_n = 0;
         };
       rcv =
         (let rx_ar = Engine.Sim.arena sim rx_lay in

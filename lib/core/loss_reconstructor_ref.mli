@@ -45,8 +45,8 @@ val on_covers :
 
 (** {2 Streaming replay}
 
-    The list-free twin of {!on_covers}, fed directly from
-    {!Sack.Scoreboard.iter_feedback}: open a batch, push each cover in
+    The list-free twin of {!on_covers}, fed from the covers
+    {!Sack.Scoreboard.digest} stages: open a batch, push each cover in
     ascending sequence order, close the batch.  Closing performs the
     once-per-feedback trace accounting {!on_covers} does at its end;
     seeding (§6.3.1) still happens immediately at the first loss event,

@@ -20,12 +20,10 @@ type cover = {
   cov_was_retx : bool;
 }
 
-type feedback_result = {
-  newly_acked : cover list;
-  newly_sacked : cover list;
-  newly_lost : Serial.t list;
-  cum_advanced : bool;
-}
+let grow_ints a n =
+  let b = Array.make (Stdlib.max n (2 * Array.length a)) 0 in
+  Array.blit a 0 b 0 (Array.length a);
+  b
 
 (* Sorted, coalesced, half-open [lo, hi) runs over absolute positions,
    in growable parallel arrays. *)
@@ -51,14 +49,9 @@ module Runs = struct
     i < t.len && Array.unsafe_get t.lo i <= x
 
   let ensure t extra =
-    let cap = Array.length t.lo in
-    if t.len + extra > cap then begin
-      let ncap = Stdlib.max (t.len + extra) (2 * cap) in
-      let nlo = Array.make ncap 0 and nhi = Array.make ncap 0 in
-      Array.blit t.lo 0 nlo 0 t.len;
-      Array.blit t.hi 0 nhi 0 t.len;
-      t.lo <- nlo;
-      t.hi <- nhi
+    if t.len + extra > Array.length t.lo then begin
+      t.lo <- grow_ints t.lo (t.len + extra);
+      t.hi <- grow_ints t.hi (t.len + extra)
     end
 
   (* Replace runs [i, j) by the single run [l, h); [j = i] inserts. *)
@@ -146,21 +139,20 @@ module Runs = struct
 
   let kth_from_top t k = kth_from_top_at t (t.len - 1) k
 
-  (* Apply [f gl gh] to every maximal uncovered gap within [l, h),
-     ascending. *)
-  let iter_gaps t l h f =
-    let a = ref l and i = ref (seek t l) in
-    while !a < h do
-      if !i >= t.len || !a < t.lo.(!i) then begin
-        let stop = if !i >= t.len then h else Stdlib.min h t.lo.(!i) in
-        f !a stop;
-        a := stop
-      end
-      else begin
-        a := Stdlib.max !a t.hi.(!i);
-        incr i
-      end
-    done
+  (* Fold [f x gl gh] over every maximal uncovered gap [gl, gh) within
+     [l, h), ascending.  The walk state rides in the arguments, so with
+     a closed top-level [f] a fold allocates nothing. *)
+  let rec fold_gaps_from t i a h f x acc =
+    if a >= h then acc
+    else if i >= t.len then f x a h acc
+    else
+      let lo = Array.unsafe_get t.lo i in
+      let acc = if a < lo then f x a (Stdlib.min h lo) acc else acc in
+      fold_gaps_from t (i + 1)
+        (Stdlib.max a (Array.unsafe_get t.hi i))
+        h f x acc
+
+  let fold_gaps t l h f x acc = fold_gaps_from t (seek t l) l h f x acc
 end
 
 type t = {
@@ -185,10 +177,17 @@ type t = {
   mutable acked : int;
   (* reusable per-feedback scratch runs: the clipped SACK blocks
      (phase 2) and the freshly inferred loss runs (phase 3) of
-     [iter_feedback] — per-call lists here would be the last
-     allocations on the feedback fast path *)
+     [digest], and the expired positions of [mark_expired] *)
   mutable scr_lo : int array;
   mutable scr_hi : int array;
+  (* the last [digest]'s staged output (see there) *)
+  mutable cov_key : int array;
+  mutable cov_sent : float array;
+  mutable ncov : int;
+  mutable nacked : int;
+  mutable lost_pos : int array;
+  mutable nlost : int;
+  mutable cum_advanced : bool;
 }
 
 let retx_shift = 30
@@ -223,6 +222,13 @@ let create ?(dupthresh = 3) ?(capacity = 256) ?cost ?trace () =
     acked = 0;
     scr_lo = Array.make 8 0;
     scr_hi = Array.make 8 0;
+    cov_key = Array.make 8 0;
+    cov_sent = Array.make 8 0.0;
+    ncov = 0;
+    nacked = 0;
+    lost_pos = Array.make 8 0;
+    nlost = 0;
+    cum_advanced = false;
   }
 
 let charge t ?ops name =
@@ -289,75 +295,67 @@ let una t = t.snd_una
 
 let size_at t a = t.meta.(a land t.mask) land size_mask
 
-type feedback_summary = {
-  fb_acked : int;
-  fb_sacked : int;
-  fb_lost : int;
-  fb_cum_advanced : bool;
-}
+(* The staged feedback digest.  One call walks the [sacked]/[lost] runs
+   with [Runs.fold_gaps] and closed top-level visitors (no closures, no
+   refs, no result record) and stages what it uncovered in the
+   scoreboard's scratch arrays, which the caller then reads by index:
 
-(* The streaming feedback digest.  Covers are pushed to the callbacks in
-   globally ascending sequence order without materialising cover records
-   or lists: every cumulative-ack cover lies below the advanced
-   [una_abs] and every SACK cover at or above it, and processing blocks
-   in ascending order of clipped lower bound keeps the SACK emissions
-   ascending too (a block's range is merged into the run set before the
-   next block is scanned, so a later block can only uncover positions
-   above everything an earlier one emitted).  The emitted set and the
-   final run state are both order-independent, which keeps this
-   byte-compatible with the list-building wrapper below. *)
+   - covers [0, fb_acked) are the cumulative-ack covers and covers
+     [fb_acked, fb_acked + fb_sacked) the fresh SACK covers, each
+     ascending.  Every cumulative-ack cover lies below the advanced
+     [una_abs] and every SACK cover at or above it, and blocks are
+     processed in ascending order of clipped lower bound (a block merges
+     into the run set before the next is scanned, so a later block can
+     only uncover positions above everything an earlier one staged), so
+     the whole cover stage is globally ascending;
+   - losses [0, fb_lost) are the fresh dupthresh inferences, ascending.
+
+   A cover is staged by value (position and retransmit flag packed in
+   one int, first send time in a float array), so it stays readable even
+   if the ring is overwritten or regrown before the caller gets to it. *)
+
+let[@inline] cover_key a ~retx = (a lsl 1) lor if retx then 1 else 0
+
+let grow_floats a n =
+  let b = Array.make (Stdlib.max n (2 * Array.length a)) 0.0 in
+  Array.blit a 0 b 0 (Array.length a);
+  b
+
 let ensure_scr t n =
-  let cap = Array.length t.scr_lo in
-  if n > cap then begin
-    let ncap = Stdlib.max n (2 * cap) in
-    let nlo = Array.make ncap 0 and nhi = Array.make ncap 0 in
-    Array.blit t.scr_lo 0 nlo 0 cap;
-    Array.blit t.scr_hi 0 nhi 0 cap;
-    t.scr_lo <- nlo;
-    t.scr_hi <- nhi
+  if n > Array.length t.scr_lo then begin
+    t.scr_lo <- grow_ints t.scr_lo n;
+    t.scr_hi <- grow_ints t.scr_hi n
   end
 
-let iter_feedback t ~cum_ack ~blocks ~on_ack ~on_sack ~on_lost =
-  charge t "send.scoreboard.feedback";
-  let n_acked = ref 0 and n_sacked = ref 0 and n_lost = ref 0 in
-  let emit on a =
-    let i = a land t.mask in
-    let meta = Array.unsafe_get t.meta i in
-    t.unsacked_bytes <- t.unsacked_bytes - (meta land size_mask);
-    on ~seq:(ser_of t a)
-      ~sent_at:(Array.unsafe_get t.first_sent i)
-      ~was_retx:(meta lsr retx_shift > 0)
-  in
-  (* 1. Cumulative advance: every not-yet-SACKed position up to the
-     (clipped) ack point is a fresh cover. *)
-  let cum_advanced = Serial.( > ) cum_ack t.snd_una in
-  if cum_advanced then begin
-    let target = Stdlib.min (abs_of t cum_ack) t.nxt_abs in
-    Runs.iter_gaps t.sacked t.una_abs target (fun gl gh ->
-        for a = gl to gh - 1 do
-          incr n_acked;
-          emit on_ack a
-        done);
-    t.acked <- t.acked + (target - t.una_abs);
-    Runs.trim_below t.sacked target;
-    Runs.trim_below t.lost target;
-    t.una_abs <- target;
-    t.snd_una <- Serial.max t.snd_una (Serial.min cum_ack t.snd_nxt)
+(* Stage the (unsacked) positions of a gap [a, h) as covers. *)
+let stage_covers t a h () =
+  let n = t.ncov + (h - a) in
+  if n > Array.length t.cov_key then begin
+    t.cov_key <- grow_ints t.cov_key n;
+    t.cov_sent <- grow_floats t.cov_sent n
   end;
-  (* 2. SACK coverage: the uncovered gaps of each (clipped) block are
-     the newly SACKed positions; then the block merges into the run
-     set in one splice.  The clipped runs go through the reusable
-     scratch arrays, insertion-sorted by lower bound (stable, like the
-     [List.sort] this replaces; real feedback carries at most a
-     handful of blocks). *)
-  let nclip = ref 0 in
-  List.iter
-    (fun (b : Blocks.t) ->
+  for p = a to h - 1 do
+    let i = p land t.mask in
+    let meta = Array.unsafe_get t.meta i in
+    let k = t.ncov + (p - a) in
+    t.unsacked_bytes <- t.unsacked_bytes - (meta land size_mask);
+    Array.unsafe_set t.cov_key k (cover_key p ~retx:(meta lsr retx_shift > 0));
+    Array.unsafe_set t.cov_sent k (Array.unsafe_get t.first_sent i)
+  done;
+  t.ncov <- n
+
+(* Insert the clipped blocks into the scratch runs by lower bound
+   (stable insertion sort; real feedback carries a handful of blocks);
+   returns how many are staged. *)
+let rec clip_blocks t (blocks : Blocks.t list) n =
+  match blocks with
+  | [] -> n
+  | b :: rest ->
       let l = Stdlib.max (abs_of t b.block_start) t.una_abs in
       let h = Stdlib.min (abs_of t b.block_end) t.nxt_abs in
       if l < h then begin
-        ensure_scr t (!nclip + 1);
-        let j = ref !nclip in
+        ensure_scr t (n + 1);
+        let j = ref n in
         while !j > 0 && t.scr_lo.(!j - 1) > l do
           t.scr_lo.(!j) <- t.scr_lo.(!j - 1);
           t.scr_hi.(!j) <- t.scr_hi.(!j - 1);
@@ -365,76 +363,105 @@ let iter_feedback t ~cum_ack ~blocks ~on_ack ~on_sack ~on_lost =
         done;
         t.scr_lo.(!j) <- l;
         t.scr_hi.(!j) <- h;
-        incr nclip
-      end)
-    blocks;
-  for k = 0 to !nclip - 1 do
+        clip_blocks t rest (n + 1)
+      end
+      else clip_blocks t rest n
+
+(* Append the run [a, h) to the scratch runs holding [n]. *)
+let push_scr t a h n =
+  ensure_scr t (n + 1);
+  Array.unsafe_set t.scr_lo n a;
+  Array.unsafe_set t.scr_hi n h;
+  n + 1
+
+(* Within an unsacked gap, the sub-ranges not yet lost are fresh. *)
+let push_unlost t a h n = Runs.fold_gaps t.lost a h push_scr t n
+
+(* Stage positions [a, h) as fresh losses. *)
+let stage_losses t a h =
+  let n = t.nlost + (h - a) in
+  if n > Array.length t.lost_pos then t.lost_pos <- grow_ints t.lost_pos n;
+  for p = a to h - 1 do
+    Array.unsafe_set t.lost_pos (t.nlost + (p - a)) p
+  done;
+  t.nlost <- n
+
+let[@vtp.hot] digest t ~cum_ack ~blocks =
+  charge t "send.scoreboard.feedback";
+  t.ncov <- 0;
+  t.nlost <- 0;
+  (* 1. Cumulative advance: every not-yet-SACKed position up to the
+     (clipped) ack point is a fresh cover. *)
+  t.cum_advanced <- Serial.( > ) cum_ack t.snd_una;
+  if t.cum_advanced then begin
+    let target = Stdlib.min (abs_of t cum_ack) t.nxt_abs in
+    Runs.fold_gaps t.sacked t.una_abs target stage_covers t ();
+    t.acked <- t.acked + (target - t.una_abs);
+    Runs.trim_below t.sacked target;
+    Runs.trim_below t.lost target;
+    t.una_abs <- target;
+    t.snd_una <- Serial.max t.snd_una (Serial.min cum_ack t.snd_nxt)
+  end;
+  t.nacked <- t.ncov;
+  (* 2. SACK coverage: the uncovered gaps of each (clipped) block are
+     the newly SACKed positions; then the block merges into the run
+     set in one splice. *)
+  let nclip = clip_blocks t blocks 0 in
+  for k = 0 to nclip - 1 do
     let l = t.scr_lo.(k) and h = t.scr_hi.(k) in
-    Runs.iter_gaps t.sacked l h (fun gl gh ->
-        for a = gl to gh - 1 do
-          incr n_sacked;
-          emit on_sack a
-        done);
+    Runs.fold_gaps t.sacked l h stage_covers t ();
     Runs.remove t.lost l h;
     Runs.add t.sacked l h
   done;
   (* 3. Loss inference: a position is lost once [dupthresh] SACKed
      positions lie above it, i.e. everything below the dupthresh-th
      highest SACKed point that is neither SACKed nor already lost.
-     The fresh runs reuse the same scratch (phase 2 is done with it),
+     The fresh runs reuse the scratch runs (phase 2 is done with them),
      collected in ascending order. *)
-  let nfresh = ref 0 in
   let p = Runs.kth_from_top t.sacked t.dupthresh in
   if p > t.una_abs then begin
-    Runs.iter_gaps t.sacked t.una_abs p (fun gl gh ->
-        Runs.iter_gaps t.lost gl gh (fun ll lh ->
-            ensure_scr t (!nfresh + 1);
-            t.scr_lo.(!nfresh) <- ll;
-            t.scr_hi.(!nfresh) <- lh;
-            incr nfresh));
-    for k = 0 to !nfresh - 1 do
-      Runs.add t.lost t.scr_lo.(k) t.scr_hi.(k)
+    let nfresh = Runs.fold_gaps t.sacked t.una_abs p push_unlost t 0 in
+    for k = 0 to nfresh - 1 do
+      let l = t.scr_lo.(k) and h = t.scr_hi.(k) in
+      Runs.add t.lost l h;
+      stage_losses t l h
     done;
     (* The reference walk marks from the top down; emit in the same
        descending order so traces stay byte-identical. *)
     if Trace.Sink.on t.trace then
-      for k = !nfresh - 1 downto 0 do
+      for k = nfresh - 1 downto 0 do
         for a = t.scr_hi.(k) - 1 downto t.scr_lo.(k) do
           Trace.Sink.emit t.trace
             (Trace.Event.Loss_inferred
                { seq = ser_of t a; by = Trace.Event.I_dupthresh })
         done
-      done;
-    for k = 0 to !nfresh - 1 do
-      for a = t.scr_lo.(k) to t.scr_hi.(k) - 1 do
-        incr n_lost;
-        on_lost (ser_of t a)
       done
-    done
-  end;
-  {
-    fb_acked = !n_acked;
-    fb_sacked = !n_sacked;
-    fb_lost = !n_lost;
-    fb_cum_advanced = cum_advanced;
-  }
+  end
 
-let on_feedback t ~cum_ack ~blocks =
-  let acked = ref [] and sacked = ref [] and lost = ref [] in
-  let push acc ~seq ~sent_at ~was_retx =
-    acc := { cov_seq = seq; cov_sent_at = sent_at; cov_was_retx = was_retx }
-           :: !acc
-  in
-  let s =
-    iter_feedback t ~cum_ack ~blocks ~on_ack:(push acked) ~on_sack:(push sacked)
-      ~on_lost:(fun seq -> lost := seq :: !lost)
-  in
-  {
-    newly_acked = List.rev !acked;
-    newly_sacked = List.rev !sacked;
-    newly_lost = List.rev !lost;
-    cum_advanced = s.fb_cum_advanced;
-  }
+let fb_acked t = t.nacked
+let fb_sacked t = t.ncov - t.nacked
+let fb_covers t = t.ncov
+let fb_lost t = t.nlost
+let fb_cum_advanced t = t.cum_advanced
+
+let check_index n k what =
+  if k < 0 || k >= n then invalid_arg ("Scoreboard." ^ what ^ ": index")
+
+let cover_seq t k =
+  check_index t.ncov k "cover_seq";
+  ser_of t (Array.unsafe_get t.cov_key k lsr 1)
+
+let cover_sent_at t k =
+  check_index t.ncov k "cover_sent_at";
+  Array.unsafe_get t.cov_sent k
+
+let cover_was_retx t k =
+  check_index t.ncov k "cover_was_retx";
+  Array.unsafe_get t.cov_key k land 1 = 1
+
+let lost_seq t k =
+  check_index t.nlost k "lost_seq";
+  ser_of t (Array.unsafe_get t.lost_pos k)
 
 let lost_pending t =
   let acc = ref [] in
@@ -446,38 +473,45 @@ let lost_pending t =
   !acc
 
 let mark_expired t ~now ~timeout =
-  (* The expired positions go through the feedback scratch (ascending);
-     the common fire finds nothing expired and allocates nothing. *)
-  let nfresh = ref 0 in
-  Runs.iter_gaps t.sacked t.una_abs t.nxt_abs (fun gl gh ->
-      Runs.iter_gaps t.lost gl gh (fun ll lh ->
-          for a = ll to lh - 1 do
-            if now -. t.last_sent.(a land t.mask) > timeout then begin
-              ensure_scr t (!nfresh + 1);
-              t.scr_lo.(!nfresh) <- a;
-              incr nfresh;
-              if Trace.Sink.on t.trace then
-                Trace.Sink.emit t.trace
-                  (Trace.Event.Loss_inferred
-                     { seq = ser_of t a; by = Trace.Event.I_timeout })
-            end
-          done));
+  (* The expired positions go through the feedback scratch (ascending). *)
+  let expire t a h n =
+    let n = ref n in
+    for a = a to h - 1 do
+      if now -. t.last_sent.(a land t.mask) > timeout then begin
+        ensure_scr t (!n + 1);
+        t.scr_lo.(!n) <- a;
+        incr n;
+        if Trace.Sink.on t.trace then
+          Trace.Sink.emit t.trace
+            (Trace.Event.Loss_inferred
+               { seq = ser_of t a; by = Trace.Event.I_timeout })
+      end
+    done;
+    !n
+  in
+  let nfresh =
+    Runs.fold_gaps t.sacked t.una_abs t.nxt_abs
+      (fun t a h n -> Runs.fold_gaps t.lost a h expire t n)
+      t 0
+  in
   let acc = ref [] in
-  for k = !nfresh - 1 downto 0 do
+  for k = nfresh - 1 downto 0 do
     let a = t.scr_lo.(k) in
     Runs.add t.lost a (a + 1);
     acc := ser_of t a :: !acc
   done;
   !acc
 
+let drop_unsacked t a h () =
+  for p = a to h - 1 do
+    t.unsacked_bytes <- t.unsacked_bytes - size_at t p
+  done
+
 let abandon_below t limit =
   let limit = Serial.min limit t.snd_nxt in
   if Serial.( > ) limit t.snd_una then begin
     let target = Stdlib.min (abs_of t limit) t.nxt_abs in
-    Runs.iter_gaps t.sacked t.una_abs target (fun gl gh ->
-        for a = gl to gh - 1 do
-          t.unsacked_bytes <- t.unsacked_bytes - size_at t a
-        done);
+    Runs.fold_gaps t.sacked t.una_abs target drop_unsacked t ();
     Runs.trim_below t.sacked target;
     Runs.trim_below t.lost target;
     t.una_abs <- target;

@@ -13,14 +13,8 @@ type cover = {
   cov_sent_at : float;  (** first transmission time *)
   cov_was_retx : bool;  (** was ever retransmitted *)
 }
-(** A sequence number newly known to have reached the receiver. *)
-
-type feedback_result = {
-  newly_acked : cover list;  (** cumulative-ack advance, ascending seq *)
-  newly_sacked : cover list;  (** new SACK coverage, ascending seq *)
-  newly_lost : Packet.Serial.t list;  (** fresh loss inferences, ascending *)
-  cum_advanced : bool;
-}
+(** A sequence number newly known to have reached the receiver (the
+    list form {!Qtp.Loss_reconstructor.on_covers} replays). *)
 
 type t
 
@@ -49,37 +43,47 @@ val next_seq : t -> Packet.Serial.t
 val una : t -> Packet.Serial.t
 (** Lowest unacknowledged sequence number ([snd_una]). *)
 
-type feedback_summary = {
-  fb_acked : int;
-  fb_sacked : int;
-  fb_lost : int;
-  fb_cum_advanced : bool;
-}
-(** Counts of what one feedback digest uncovered — everything the hot
-    path needs that is not already streamed through the callbacks. *)
+(** {2 Feedback digest}
 
-val iter_feedback :
-  t ->
-  cum_ack:Packet.Serial.t ->
-  blocks:Blocks.t list ->
-  on_ack:(seq:Packet.Serial.t -> sent_at:float -> was_retx:bool -> unit) ->
-  on_sack:(seq:Packet.Serial.t -> sent_at:float -> was_retx:bool -> unit) ->
-  on_lost:(Packet.Serial.t -> unit) ->
-  feedback_summary
-(** Streaming feedback digest: the iterator twin of {!on_feedback},
-    with identical state effects but no per-cover list materialisation —
-    the fast path for bulk cumulative advances over trunk- and LFN-sized
-    windows.  [on_ack] fires for every cumulative-ack cover and
-    [on_sack] for every fresh SACK cover, each ascending, all acks
-    before all sacks (so a single callback passed to both observes the
-    merged covers in globally ascending sequence order).  [on_lost]
-    fires ascending for every fresh dupthresh loss inference, after all
-    covers.  [sent_at] is the cover's first transmission time. *)
+    {!digest} digests one SACK feedback and stages what it uncovered in
+    the scoreboard's scratch arrays; the accessors below read that stage
+    by index.  The stage is valid until the next {!digest}.  Nothing is
+    allocated in steady state: no callbacks, no lists, no result record
+    (the scratch arrays only grow when a feedback uncovers more than any
+    before it). *)
 
-val on_feedback :
-  t -> cum_ack:Packet.Serial.t -> blocks:Blocks.t list -> feedback_result
-(** List-building wrapper over {!iter_feedback} (kept as the
-    differential-test surface against [Scoreboard_ref]). *)
+val digest : t -> cum_ack:Packet.Serial.t -> blocks:Blocks.t list -> unit
+(** Apply a cumulative ack and SACK blocks.  Stages, in order:
+    - the covers: the cumulative-ack covers (indices [\[0, fb_acked)])
+      then the fresh SACK covers (the next {!fb_sacked}), each
+      ascending, so the whole stage is in ascending sequence order;
+    - the fresh dupthresh loss inferences ({!fb_lost} of them),
+      ascending.  Every digest re-walks the holes from [una], so a
+      retransmitted number that is still unSACKed is inferred lost
+      again by the next digest with [dupthresh] SACKed numbers above
+      it. *)
+
+val fb_acked : t -> int
+val fb_sacked : t -> int
+
+val fb_covers : t -> int
+(** [fb_acked + fb_sacked]. *)
+
+val fb_lost : t -> int
+
+val fb_cum_advanced : t -> bool
+(** Whether the last digest moved [snd_una]. *)
+
+val cover_seq : t -> int -> Packet.Serial.t
+val cover_sent_at : t -> int -> float
+(** First transmission time of the [k]-th cover. *)
+
+val cover_was_retx : t -> int -> bool
+(** Whether the [k]-th cover was ever retransmitted. *)
+
+val lost_seq : t -> int -> Packet.Serial.t
+(** The [k]-th fresh loss inference.  All accessors raise
+    [Invalid_argument] outside the staged range. *)
 
 val lost_pending : t -> Packet.Serial.t list
 (** Numbers currently inferred lost and not yet retransmitted,

@@ -41,6 +41,10 @@ module Dig = struct
 
   let mix acc w = (((acc lsl 5) + acc) lxor w) land max_int
 
+  (* The 8 bytes at [i], little-endian, folded into an int (the top bit
+     drops, as it always has: the fold masks to [max_int]). *)
+  let word buf i = Int64.to_int (Bytes.get_int64_le buf i)
+
   let update d u buf ~pos ~len =
     let acc = ref d.acc.(u) in
     let pend = ref d.pend.(u) in
@@ -57,12 +61,7 @@ module Dig = struct
       end
     done;
     while stop - !i >= 8 do
-      let b k = Char.code (Bytes.unsafe_get buf (!i + k)) in
-      let w =
-        b 0 lor (b 1 lsl 8) lor (b 2 lsl 16) lor (b 3 lsl 24) lor (b 4 lsl 32)
-        lor (b 5 lsl 40) lor (b 6 lsl 48) lor (b 7 lsl 56)
-      in
-      acc := mix !acc w;
+      acc := mix !acc (word buf !i);
       i := !i + 8
     done;
     while !i < stop do
@@ -132,57 +131,117 @@ type t = {
   adm_dig : Dig.t;
   shp_dig : Dig.t;
   dlv_dig : Dig.t;
-  mutable segs : Bytes.t array;  (* k-th packed segment, freed on delivery *)
-  mutable seg_lens : int array;  (* packed bytes of segs.(k): buffers are
-                                    sized for the full budget up front so
-                                    pack can write in place without a
-                                    trailing Bytes.sub copy *)
+  (* The undelivered segments [seg_base, nsegs), the k-th at ring slot
+     [k land (length - 1)] with its packed byte count.  Buffers are
+     sized for the full budget so pack writes in place.  Reassembly
+     delivers in sequence order, so delivering k retires every segment
+     up to k (those below it were abandoned and never will be). *)
+  mutable segs : Bytes.t array;
+  mutable seg_lens : int array;
+  mutable seg_base : int;
   mutable nsegs : int;
+  (* Retired segment buffers, recycled by [pack]: a buffer is only lent
+     to [on_data] for the duration of the call, so once a segment's
+     callbacks return its bytes are dead. *)
+  mutable free : Bytes.t array;
+  mutable nfree : int;
+  (* The segment [pack] is filling and the one [deliver] is parsing,
+     read by the per-frame callbacks below. *)
+  mutable pk_buf : Bytes.t;
+  mutable pk_pos : int;
+  mutable pk_frames : int;
+  mutable dv_buf : Bytes.t;
+  (* [Sched.fill] / [Frame.iter] callbacks, built once *)
+  on_take : user:int -> take:int -> unit;
+  on_frame : user:int -> off:int -> len:int -> unit;
+  on_junk : bytes:int -> unit;
   mutable rejected : int;
   mutable frames_packed : int;
   mutable junk : int;
   mutable on_data : (user:int -> buf:Bytes.t -> pos:int -> len:int -> unit) option;
 }
 
-let pack t =
+(* One scheduler allocation: a sub-frame of [take] bytes of [user]'s
+   queue, appended to the segment being packed. *)
+let pack_frame t ~user ~take =
+  let buf = t.pk_buf in
+  Frame.put_header buf ~pos:t.pk_pos ~user ~len:take;
+  let ppos = t.pk_pos + Frame.header_bytes in
+  Q.pop_into t.queues.(user) buf ~pos:ppos ~len:take;
+  t.shipped.(user) <- t.shipped.(user) + take;
+  if t.cfg.audit then Dig.update t.shp_dig user buf ~pos:ppos ~len:take;
+  t.pk_pos <- ppos + take;
+  t.pk_frames <- t.pk_frames + 1
+
+let deliver_frame t ~user ~off ~len =
+  t.delivered.(user) <- t.delivered.(user) + len;
+  if t.cfg.audit then Dig.update t.dlv_dig user t.dv_buf ~pos:off ~len;
+  (match Tap.hooks () with
+  | Some h -> h.Tap.on_user_deliver { Tap.dv_user = user; dv_bytes = len }
+  | None -> ());
+  match t.on_data with
+  | Some f -> f ~user ~buf:t.dv_buf ~pos:off ~len
+  | None -> ()
+
+(* Double the segment ring, keeping each live segment at its slot under
+   the new mask. *)
+let grow_segs t =
+  let n = 2 * Array.length t.segs in
+  let nb = Array.make n Bytes.empty and nl = Array.make n 0 in
+  for k = t.seg_base to t.nsegs - 1 do
+    nb.(k land (n - 1)) <- t.segs.(k land (n / 2 - 1));
+    nl.(k land (n - 1)) <- t.seg_lens.(k land (n / 2 - 1))
+  done;
+  t.segs <- nb;
+  t.seg_lens <- nl
+
+let recycle t buf =
+  if t.nfree = Array.length t.free then begin
+    let nf = Array.make (2 * t.nfree) Bytes.empty in
+    Array.blit t.free 0 nf 0 t.nfree;
+    t.free <- nf
+  end;
+  t.free.(t.nfree) <- buf;
+  t.nfree <- t.nfree + 1
+
+let[@vtp.hot] pack t =
   if t.seg_payload = 0 || Sched.total t.sched = 0 then false
   else begin
     let budget = t.seg_payload in
-    let buf = Bytes.create budget in
-    let wpos = ref 0 in
-    let frames = ref 0 in
+    (* a buffer recycled before a re-[attach] may be too short *)
+    let buf =
+      if t.nfree > 0 && Bytes.length t.free.(t.nfree - 1) >= budget then begin
+        t.nfree <- t.nfree - 1;
+        t.free.(t.nfree)
+      end
+      else Bytes.create budget
+    in
+    t.pk_buf <- buf;
+    t.pk_pos <- 0;
+    t.pk_frames <- 0;
     let used =
       Sched.fill t.sched ~budget ~overhead:Frame.header_bytes
-        ~cap:t.cfg.frame_cap ~f:(fun ~user ~take ->
-          Frame.put_header buf ~pos:!wpos ~user ~len:take;
-          let ppos = !wpos + Frame.header_bytes in
-          Q.pop_into t.queues.(user) buf ~pos:ppos ~len:take;
-          t.shipped.(user) <- t.shipped.(user) + take;
-          if t.cfg.audit then Dig.update t.shp_dig user buf ~pos:ppos ~len:take;
-          wpos := ppos + take;
-          incr frames)
+        ~cap:t.cfg.frame_cap ~f:t.on_take
     in
-    if used = 0 then false
+    t.pk_buf <- Bytes.empty;
+    if used = 0 then begin
+      recycle t buf;
+      false
+    end
     else begin
       let k = t.nsegs in
-      if k = Array.length t.segs then begin
-        let nb = Array.make (2 * Array.length t.segs) Bytes.empty in
-        Array.blit t.segs 0 nb 0 t.nsegs;
-        t.segs <- nb;
-        let nl = Array.make (2 * Array.length t.seg_lens) 0 in
-        Array.blit t.seg_lens 0 nl 0 t.nsegs;
-        t.seg_lens <- nl
-      end;
-      t.segs.(k) <- buf;
-      t.seg_lens.(k) <- used;
+      if k - t.seg_base = Array.length t.segs then grow_segs t;
+      let i = k land (Array.length t.segs - 1) in
+      t.segs.(i) <- buf;
+      t.seg_lens.(i) <- used;
       t.nsegs <- k + 1;
-      t.frames_packed <- t.frames_packed + !frames;
+      t.frames_packed <- t.frames_packed + t.pk_frames;
       (match Tap.hooks () with
       | Some h ->
           h.Tap.on_segment
             {
               Tap.sg_index = k;
-              sg_frames = !frames;
+              sg_frames = t.pk_frames;
               sg_payload = used;
               sg_budget = budget;
             }
@@ -191,30 +250,22 @@ let pack t =
     end
   end
 
-let deliver t ~seq =
+let[@vtp.hot] deliver t ~seq =
   let k = Packet.Serial.to_int seq in
-  if k >= 0 && k < t.nsegs then begin
-    let seg = t.segs.(k) in
-    let seg_len = t.seg_lens.(k) in
-    if seg_len > 0 then begin
-      Frame.iter seg ~pos:0 ~len:seg_len
-        ~frame:(fun ~user ~off ~len ->
-          t.delivered.(user) <- t.delivered.(user) + len;
-          if t.cfg.audit then Dig.update t.dlv_dig user seg ~pos:off ~len;
-          (match Tap.hooks () with
-          | Some h ->
-              h.Tap.on_user_deliver { Tap.dv_user = user; dv_bytes = len }
-          | None -> ());
-          match t.on_data with
-          | Some f -> f ~user ~buf:seg ~pos:off ~len
-          | None -> ())
-        ~junk:(fun ~bytes -> t.junk <- t.junk + bytes);
-      (* Exactly-once: reassembly delivers each sequence once; freeing
-         the slot also makes any accounting bug loud instead of a
-         silent double count. *)
-      t.segs.(k) <- Bytes.empty;
-      t.seg_lens.(k) <- 0
-    end
+  if k >= t.seg_base && k < t.nsegs then begin
+    let mask = Array.length t.segs - 1 in
+    let seg = t.segs.(k land mask) in
+    t.dv_buf <- seg;
+    Frame.iter seg ~pos:0 ~len:t.seg_lens.(k land mask) ~frame:t.on_frame
+      ~junk:t.on_junk;
+    t.dv_buf <- Bytes.empty;
+    (* Exactly-once: retiring the segments also makes any accounting
+       bug loud instead of a silent double count. *)
+    for j = t.seg_base to k do
+      recycle t t.segs.(j land mask);
+      t.segs.(j land mask) <- Bytes.empty
+    done;
+    t.seg_base <- k + 1
   end
 
 let create ?weights cfg =
@@ -224,7 +275,7 @@ let create ?weights cfg =
       ~take:(fun () -> match !t_ref with Some t -> pack t | None -> false)
       ()
   in
-  let t =
+  let rec t =
     {
       cfg;
       sched =
@@ -242,7 +293,17 @@ let create ?weights cfg =
       dlv_dig = Dig.create cfg.users;
       segs = Array.make 64 Bytes.empty;
       seg_lens = Array.make 64 0;
+      seg_base = 0;
       nsegs = 0;
+      free = Array.make 64 Bytes.empty;
+      nfree = 0;
+      pk_buf = Bytes.empty;
+      pk_pos = 0;
+      pk_frames = 0;
+      dv_buf = Bytes.empty;
+      on_take = (fun ~user ~take -> pack_frame t ~user ~take);
+      on_frame = (fun ~user ~off ~len -> deliver_frame t ~user ~off ~len);
+      on_junk = (fun ~bytes -> t.junk <- t.junk + bytes);
       rejected = 0;
       frames_packed = 0;
       junk = 0;

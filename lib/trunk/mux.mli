@@ -22,7 +22,9 @@
     stores each packed segment; {!Qtp.Connection.set_on_deliver}
     surfaces the in-order delivery of sequence k, at which point the
     stored bytes are parsed with {!Frame.iter} and handed to the
-    per-user delivery callback, exactly once.
+    per-user delivery callback, exactly once.  The delivered segment's
+    buffer then goes back to a free list that the next pack draws from,
+    so in steady state the segment path allocates nothing.
 
     Under full reliability every packed byte is eventually delivered,
     byte-identical — the conservation oracle checks the per-user byte
@@ -79,6 +81,13 @@ val attach : t -> conn:Qtp.Connection.t -> seg_payload:int -> unit
 
 val connection : t -> Qtp.Connection.t option
 
+val deliver : t -> seq:Packet.Serial.t -> unit
+(** Deliver the segment packed as wire sequence [seq] — the delivery tap
+    {!attach} installs, exposed so a test can drive the segment path
+    without a connection.  Sequences must arrive in increasing order:
+    delivering [seq] retires every segment up to it, and a sequence
+    already retired is ignored. *)
+
 val admit : t -> user:int -> src:Bytes.t -> pos:int -> len:int -> int
 (** Offer [len] bytes from a user; returns how many were accepted
     (clipped to the user's remaining [per_user_cap] space — the rest is
@@ -88,7 +97,9 @@ val admit : t -> user:int -> src:Bytes.t -> pos:int -> len:int -> int
 
 val set_on_data : t -> (user:int -> buf:Bytes.t -> pos:int -> len:int -> unit) -> unit
 (** Per-user delivery callback: [buf.[pos .. pos+len)] is the delivered
-    sub-frame payload (read-only; valid only during the call). *)
+    sub-frame payload (read-only; valid only during the call — the
+    segment buffer is recycled for a later segment once the callbacks
+    return, so a callback that keeps [buf] sees it overwritten). *)
 
 val feed :
   t ->

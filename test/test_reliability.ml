@@ -21,8 +21,8 @@ let send_n sb n =
 
 let infer_loss sb =
   (* Make 0 lost via SACK of 1..5. *)
-  let r = SB.on_feedback sb ~cum_ack:(S.of_int 0) ~blocks:[ blk 1 6 ] in
-  r.SB.newly_lost
+  let r = Fb_lists.on_feedback sb ~cum_ack:(S.of_int 0) ~blocks:[ blk 1 6 ] in
+  r.Fb_lists.newly_lost
 
 let test_full_retransmits () =
   let sb, rl = setup RL.Full in
@@ -79,7 +79,7 @@ let test_stale_queue_entries_skipped () =
   send_n sb 6;
   RL.on_losses rl ~now:0.01 (infer_loss sb);
   (* The hole heals (late arrival -> cum advance) before the sender acts. *)
-  ignore (SB.on_feedback sb ~cum_ack:(S.of_int 6) ~blocks:[]);
+  SB.digest sb ~cum_ack:(S.of_int 6) ~blocks:[];
   match RL.next_decision rl ~now:0.02 with
   | RL.Fresh_data -> ()
   | RL.Retransmit _ -> Alcotest.fail "acked seq must not be retransmitted"
@@ -95,7 +95,7 @@ let test_duplicate_loss_reports_queued_once () =
 let test_full_fwd_point_is_una () =
   let sb, rl = setup RL.Full in
   send_n sb 6;
-  ignore (SB.on_feedback sb ~cum_ack:(S.of_int 2) ~blocks:[ blk 4 6 ]);
+  SB.digest sb ~cum_ack:(S.of_int 2) ~blocks:[ blk 4 6 ];
   (* Hole at 2..3 not abandoned under Full: receiver must wait. *)
   let fwd = RL.fwd_point rl ~highest_sent:(SB.next_seq sb) in
   Alcotest.(check int) "fwd = una" 2 (S.to_int fwd)

@@ -155,6 +155,61 @@ let test_mangled_conservation () =
     (Printf.sprintf "manglers actually fired (%d events)" !exercised)
     true (!exercised > 0)
 
+(* A warmed pack -> deliver round trip allocates nothing: the segment
+   buffer comes back to the free list on delivery and the scheduler and
+   parser callbacks are built once.  The connection only supplies the
+   segment budget; the test packs through the source and delivers each
+   sequence itself, with auditing on. *)
+let test_round_trip_zero_alloc () =
+  let sim, topo =
+    Experiments.Common.af_dumbbell ~seed:1 ~n_flows:1 ~bottleneck_mbps:10.0
+      ~committed_mbps:[| 5.0 |] ()
+  in
+  let users = 8 in
+  let mux = M.create (M.config ~discipline:Trunk.Sched.Drr ~users ()) in
+  let agreed =
+    Qtp.Profile.agreed_exn
+      (Qtp.Profile.qtp_af ~g_bps:5e6 ())
+      (Qtp.Profile.anything ())
+  in
+  let conn =
+    Qtp.Connection.create ~sim
+      ~endpoint:(Netsim.Topology.endpoint topo 0)
+      ~source:(M.source mux) (Qtp.Connection.config agreed)
+  in
+  M.attach mux ~conn ~seg_payload:(1500 - Packet.Header.data_header_bytes);
+  let got = Array.make 1 0 in
+  M.set_on_data mux (fun ~user:_ ~buf:_ ~pos:_ ~len ->
+      got.(0) <- got.(0) + len);
+  let chunk = Bytes.make 65536 'u' in
+  for u = 0 to users - 1 do
+    ignore (M.admit mux ~user:u ~src:chunk ~pos:0 ~len:65536)
+  done;
+  let src = M.source mux in
+  let next = Array.make 1 0 in
+  let spin n =
+    for _ = 1 to n do
+      if Qtp.Source.take src then begin
+        M.deliver mux ~seq:(Packet.Serial.of_int next.(0));
+        next.(0) <- next.(0) + 1
+      end
+    done
+  in
+  spin 10 (* warm-up: the first buffer and any one-time growth *);
+  let segs = 200 in
+  let before = Gc.minor_words () in
+  spin segs;
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check int) "every take packed a segment" (10 + segs) next.(0);
+  Alcotest.(check (float 0.0)) "words per round trip" 0.0
+    (words /. float_of_int segs);
+  Alcotest.(check int) "delivered = shipped" got.(0)
+    (Array.fold_left ( + ) 0
+       (Array.init users (fun u -> M.shipped_bytes mux ~user:u)));
+  match M.check_conservation mux with
+  | Ok () -> ()
+  | Error what -> Alcotest.failf "conservation: %s" what
+
 let suite =
   [
     Alcotest.test_case "clean link: DRR delivers the pattern" `Quick
@@ -164,6 +219,8 @@ let suite =
     Alcotest.test_case "audit off: counts still conserved" `Quick
       test_clean_unaudited;
     Alcotest.test_case "weighted DRR shares" `Quick test_weighted_shares;
+    Alcotest.test_case "pack/deliver round trip allocates nothing" `Quick
+      test_round_trip_zero_alloc;
     Alcotest.test_case "mangled links conserve every byte" `Slow
       test_mangled_conservation;
   ]
