@@ -17,12 +17,6 @@ open Cmdliner
 let list_rules =
   Arg.(value & flag & info [ "list-rules" ] ~doc:"List the rule table and exit.")
 
-let warnings_only_exit =
-  Arg.(
-    value & flag
-    & info [ "warnings" ]
-        ~doc:"Also fail (exit 1) on warning-severity findings.")
-
 let jobs =
   Arg.(
     value & opt (some int) None
@@ -51,7 +45,8 @@ let update_baseline =
     value & flag
     & info [ "update-baseline" ]
         ~doc:"Rewrite the $(b,--baseline) file from the current scan and \
-              exit 0.")
+              exit 0.  Cannot be combined with $(b,--rule): a filtered \
+              scan would drop every other rule's baselined findings.")
 
 let rule_filter =
   Arg.(
@@ -74,68 +69,31 @@ let roots =
 
 (* ------------------------------------------------------------------ *)
 
-let print_rule_line id severity doc dirs allow =
-  Format.printf "%-18s %-8s %s@." id severity doc;
-  (match dirs with
-  | [] -> ()
-  | dirs -> Format.printf "%-18s   scope: %s@." "" (String.concat " " dirs));
-  match allow with
-  | [] -> ()
-  | allow -> Format.printf "%-18s   allow: %s@." "" (String.concat " " allow)
-
 let do_list_rules () =
   List.iter
-    (fun (r : Analysis.Lint.rule) ->
-      print_rule_line r.Analysis.Lint.id
-        (Analysis.Lint.severity_name r.Analysis.Lint.severity)
-        r.Analysis.Lint.doc r.Analysis.Lint.dirs r.Analysis.Lint.allow)
-    Analysis.Lint.rules;
-  List.iter
     (fun (p : Analysis.Pass.t) ->
-      print_rule_line p.Analysis.Pass.id "error"
-        (p.Analysis.Pass.family ^ ": " ^ p.Analysis.Pass.doc)
-        p.Analysis.Pass.dirs p.Analysis.Pass.allow)
+      Format.printf "%-18s %-8s %s: %s@." p.id "error" p.family p.doc;
+      let paths label = function
+        | [] -> ()
+        | ps -> Format.printf "%-18s   %s: %s@." "" label (String.concat " " ps)
+      in
+      paths "scope" p.dirs;
+      paths "allow" p.allow)
     Analysis.Check.passes;
   0
-
-let print_explain ~id ~doc ~rationale ~bad ~good =
-  Format.printf "%s — %s@.@.%s@.@.Offender:@.  %s@.@.Fix:@.  %s@." id doc
-    rationale bad good
 
 let do_explain rid =
   match Analysis.Check.find_pass rid with
   | Some p ->
-      print_explain ~id:p.Analysis.Pass.id
-        ~doc:(p.Analysis.Pass.family ^ ": " ^ p.Analysis.Pass.doc)
-        ~rationale:p.Analysis.Pass.rationale ~bad:p.Analysis.Pass.bad
-        ~good:p.Analysis.Pass.good;
+      Format.printf "%s — %s: %s@.@.%s@.@.Offender:@.  %s@.@.Fix:@.  %s@."
+        p.id p.family p.doc p.rationale p.bad p.good;
       0
-  | None -> (
-      match
-        List.find_opt
-          (fun (r : Analysis.Lint.rule) -> r.Analysis.Lint.id = rid)
-          Analysis.Lint.rules
-      with
-      | Some r ->
-          print_explain ~id:r.Analysis.Lint.id
-            ~doc:("lint: " ^ r.Analysis.Lint.doc)
-            ~rationale:r.Analysis.Lint.rationale ~bad:r.Analysis.Lint.bad
-            ~good:r.Analysis.Lint.good;
-          0
-      | None ->
-          Format.eprintf
-            "vtp_lint: unknown rule %s (try --list-rules)@." rid;
-          2)
+  | None ->
+      Format.eprintf "vtp_lint: unknown rule %s (try --list-rules)@." rid;
+      2
 
 let rule_meta () =
-  List.map
-    (fun (r : Analysis.Lint.rule) ->
-      (r.Analysis.Lint.id, r.Analysis.Lint.doc))
-    Analysis.Lint.rules
-  @ List.map
-      (fun (p : Analysis.Pass.t) ->
-        (p.Analysis.Pass.id, p.Analysis.Pass.doc))
-      Analysis.Check.passes
+  List.map (fun (p : Analysis.Pass.t) -> (p.id, p.doc)) Analysis.Check.passes
 
 let write_file path contents =
   let oc = open_out_bin path in
@@ -143,12 +101,17 @@ let write_file path contents =
     ~finally:(fun () -> close_out_noerr oc)
     (fun () -> output_string oc contents)
 
-let run list_only strict jobs json_out baseline_file update_baseline
+let run list_only jobs json_out baseline_file update_baseline
     rule_filter explain roots =
   match explain with
   | Some rid -> do_explain rid
   | None ->
       if list_only then do_list_rules ()
+      else if update_baseline && rule_filter <> [] then begin
+        Format.eprintf
+          "vtp_lint: --update-baseline cannot be combined with --rule@.";
+        2
+      end
       else begin
         let missing = List.filter (fun r -> not (Sys.file_exists r)) roots in
         match missing with
@@ -156,12 +119,10 @@ let run list_only strict jobs json_out baseline_file update_baseline
             Format.eprintf "vtp_lint: no such directory: %s@." d;
             2
         | [] ->
-            let lint_findings = Analysis.Lint.lint_tree ?jobs ~roots () in
-            let check_findings = Analysis.Check.run_tree ?jobs ~roots () in
             let entries =
               Analysis.Report.sort
-                (Analysis.Report.of_lint lint_findings
-                @ Analysis.Report.of_check check_findings)
+                (Analysis.Report.of_check
+                   (Analysis.Check.run_tree ?jobs ~roots ()))
             in
             let entries =
               match rule_filter with
@@ -172,17 +133,13 @@ let run list_only strict jobs json_out baseline_file update_baseline
                       List.mem e.Analysis.Report.rule rs)
                     entries
             in
-            let gating_severity (e : Analysis.Report.entry) =
-              strict || e.Analysis.Report.severity = "error"
-            in
             if update_baseline then begin
               let path =
                 Option.value baseline_file ~default:"analysis/BASELINE.json"
               in
-              let tracked = List.filter gating_severity entries in
-              Analysis.Baseline.save path tracked;
+              Analysis.Baseline.save path entries;
               Format.printf "vtp_lint: baseline updated: %d finding(s) -> %s@."
-                (List.length tracked) path;
+                (List.length entries) path;
               0
             end
             else begin
@@ -213,11 +170,7 @@ let run list_only strict jobs json_out baseline_file update_baseline
                       let text = Stats.Json.to_string doc ^ "\n" in
                       if json_to_stdout then print_string text
                       else write_file dest text);
-                  let new_gating =
-                    List.filter
-                      (fun (e, is_new) -> is_new && gating_severity e)
-                      classified
-                  in
+                  let new_gating = List.filter snd classified in
                   if not json_to_stdout then begin
                     List.iter
                       (fun c ->
@@ -241,7 +194,7 @@ let cmd =
   Cmd.v
     (Cmd.info "vtp_lint" ~doc)
     Term.(
-      const run $ list_rules $ warnings_only_exit $ jobs $ json_out
+      const run $ list_rules $ jobs $ json_out
       $ baseline_file $ update_baseline $ rule_filter $ explain $ roots)
 
 let () = exit (Cmd.eval' cmd)

@@ -75,7 +75,7 @@ let of_string s =
 let load path =
   if not (Sys.file_exists path) then
     raise (Malformed (path ^ ": no such baseline file"))
-  else of_string (Lint.read_file path)
+  else of_string (In_channel.with_open_bin path In_channel.input_all)
 
 let save path entries =
   let oc = open_out_bin path in

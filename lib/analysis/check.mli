@@ -1,15 +1,16 @@
-(** The structure-aware analyzer: a registry of passes over the
-    {!Parser} item structure (determinism/race, hot-path allocation,
-    protocol-constant conformance, API hygiene) with deterministic
-    parallel driving.
+(** The analyzer: one registry of passes over the {!Lexer} tokens and
+    the {!Parser} item structure (token lint, determinism/race,
+    hot-path allocation, protocol-constant conformance, API hygiene)
+    with deterministic parallel driving.
 
-    Complements {!Lint}: the token lint pattern-matches short windows,
-    these passes reason about scope — which binding a token lives in,
+    The [lint] family pattern-matches short token windows; the other
+    families reason about scope — which binding a token lives in,
     whether that binding is top-level state, whether it is marked
     [\[@vtp.hot\]]. *)
 
 val passes : Pass.t list
-(** Registry order: determinism, hot-path, constants, hygiene. *)
+(** Registry order: lint, determinism, hot-path, constants, hygiene.
+    Ids are unique. *)
 
 val find_pass : string -> Pass.t option
 
@@ -22,8 +23,9 @@ val run_string : path:string -> string -> Pass.finding list
 val run_files : ?jobs:int -> (string * string) list -> Pass.finding list
 (** Per-file passes fanned over an {!Engine.Pool} (submission order)
     plus tree passes over the given (path, contents) set — the whole
-    analyzer on an in-memory tree.  Sorted by (path, line, rule,
-    message), so the result is identical at any [jobs]. *)
+    analyzer on an in-memory tree, lexing each file at most once.
+    Sorted by (path, line, rule, message), so the result is identical
+    at any [jobs]. *)
 
 val run_tree : ?jobs:int -> roots:string list -> unit -> Pass.finding list
 (** {!run_files} over every [.ml]/[.mli] under the roots. *)

@@ -14,14 +14,15 @@ type finding = {
 
 type source_ctx = {
   sc_path : string;
-  sc_tokens : Lint.token array;
+  sc_tokens : Lexer.token array;
   sc_items : Parser.item list;
   sc_contexts : Parser.context list;
 }
 
 type tree_ctx = {
   tc_files : string list;  (** normalised paths of every scanned file *)
-  tc_read : string -> string option;  (** contents by normalised path *)
+  tc_tokens : string -> Lexer.token array option;
+      (** tokens by normalised path, lexed at most once per file *)
 }
 
 type kind =
@@ -40,10 +41,21 @@ type t = {
   kind : kind;
 }
 
+let normalise_path p =
+  (* strip leading "./" so dir prefixes match *)
+  if String.length p > 2 && String.sub p 0 2 = "./" then
+    String.sub p 2 (String.length p - 2)
+  else p
+
+let contains_sub ~sub s =
+  let n = String.length s and m = String.length sub in
+  let rec at i = i + m <= n && (String.sub s i m = sub || at (i + 1)) in
+  m = 0 || at 0
+
 let applies p path =
-  let path = Lint.normalise_path path in
-  (p.dirs = [] || List.exists (fun d -> Lint.contains_sub ~sub:d path) p.dirs)
-  && not (List.exists (fun a -> Lint.contains_sub ~sub:a path) p.allow)
+  let path = normalise_path path in
+  (p.dirs = [] || List.exists (fun d -> contains_sub ~sub:d path) p.dirs)
+  && not (List.exists (fun a -> contains_sub ~sub:a path) p.allow)
 
 let components s = String.split_on_char '.' s
 
@@ -62,11 +74,11 @@ let strip_stdlib s =
    expression.  Heuristic — deeply nested constructor patterns inside
    parens classify as expressions — but exact on the match/function
    arms that make up nearly all real pattern positions. *)
-let expr_position (ts : Lint.token array) i =
+let expr_position (ts : Lexer.token array) i =
   let rec back j =
     if j < 0 then true
     else
-      match ts.(j).Lint.text with
+      match ts.(j).Lexer.text with
       | "|" | "with" -> false
       | "->" | ":=" | "<-" | "=" | "in" | "then" | "else" | "begin" | "("
       | "[" | ";" | "do" | "try" | "when" | "if" | "&&" | "||" ->

@@ -1,6 +1,6 @@
-(** Shared vocabulary of the structural analyzer ({!Check}): findings,
-    the two pass shapes, and token-classification helpers used by more
-    than one rule family. *)
+(** Shared vocabulary of the analyzer ({!Check}): findings, the rule
+    record with its two pass shapes, and token-classification helpers
+    used by more than one rule family. *)
 
 type finding = {
   rule : string;
@@ -13,14 +13,15 @@ type finding = {
 
 type source_ctx = {
   sc_path : string;
-  sc_tokens : Lint.token array;
+  sc_tokens : Lexer.token array;
   sc_items : Parser.item list;
   sc_contexts : Parser.context list;
 }
 
 type tree_ctx = {
-  tc_files : string list;
-  tc_read : string -> string option;
+  tc_files : string list;  (** normalised paths of every scanned file *)
+  tc_tokens : string -> Lexer.token array option;
+      (** tokens by normalised path, lexed at most once per file *)
 }
 
 type kind =
@@ -39,6 +40,11 @@ type t = {
   kind : kind;
 }
 
+val normalise_path : string -> string
+(** Strip a leading ["./"] so directory prefixes match. *)
+
+val contains_sub : sub:string -> string -> bool
+
 val applies : t -> string -> bool
 (** Directory scoping + allowlist, on normalised paths. *)
 
@@ -50,7 +56,7 @@ val last_component : string -> string
 val strip_stdlib : string -> string
 (** Drop one leading ["Stdlib."] qualifier. *)
 
-val expr_position : Lint.token array -> int -> bool
+val expr_position : Lexer.token array -> int -> bool
 (** Heuristic: is the token at this index in expression (not pattern)
     position?  Used for [Some], [::] and list literals. *)
 

@@ -31,9 +31,9 @@ let run_top_state (sc : Pass.source_ctx) =
         let dls = ref false and alloc = ref "" in
         for i = lo to hi - 1 do
           let t = sc.Pass.sc_tokens.(i) in
-          match t.Lint.kind with
-          | Lint.Ident ->
-              let text = Pass.strip_stdlib t.Lint.text in
+          match t.Lexer.kind with
+          | Lexer.Ident ->
+              let text = Pass.strip_stdlib t.Lexer.text in
               if is_dls_key text then dls := true;
               if !alloc = "" && List.mem text alloc_heads then alloc := text
           | _ -> ()
@@ -62,13 +62,13 @@ let starts_with prefix s = String.starts_with ~prefix s
 
 (* Tokens that commit an ordering: consing onto an accumulator,
    assigning one, or printing/serialising directly. *)
-let ordered_sink (ts : Lint.token array) j =
+let ordered_sink (ts : Lexer.token array) j =
   let t = ts.(j) in
-  match t.Lint.kind with
-  | Lint.Ident ->
-      let cs = Pass.components (Pass.strip_stdlib t.Lint.text) in
+  match t.Lexer.kind with
+  | Lexer.Ident ->
+      let cs = Pass.components (Pass.strip_stdlib t.Lexer.text) in
       (match cs with
-      | "Buffer" :: _ when starts_with "add" (Pass.last_component t.Lint.text)
+      | "Buffer" :: _ when starts_with "add" (Pass.last_component t.Lexer.text)
         ->
           Some "Buffer.add*"
       | ("Printf" | "Format") :: _ -> Some (List.hd cs)
@@ -77,26 +77,26 @@ let ordered_sink (ts : Lint.token array) j =
             List.exists
               (fun c -> starts_with "output_" c || starts_with "print_" c)
               cs
-          then Some t.Lint.text
+          then Some t.Lexer.text
           else None)
-  | Lint.Op ->
-      if t.Lint.text = ":=" then Some ":="
-      else if t.Lint.text = "::" && Pass.expr_position ts j then Some "::"
+  | Lexer.Op ->
+      if t.Lexer.text = ":=" then Some ":="
+      else if t.Lexer.text = "::" && Pass.expr_position ts j then Some "::"
       else None
   | _ -> None
 
-let sortish (ts : Lint.token array) j =
-  match ts.(j).Lint.kind with
-  | Lint.Ident ->
-      List.exists (starts_with "sort") (Pass.components ts.(j).Lint.text)
+let sortish (ts : Lexer.token array) j =
+  match ts.(j).Lexer.kind with
+  | Lexer.Ident ->
+      List.exists (starts_with "sort") (Pass.components ts.(j).Lexer.text)
   | _ -> false
 
 let run_hashtbl_order (sc : Pass.source_ctx) =
   let ts = sc.Pass.sc_tokens in
   let out = ref [] in
   Array.iteri
-    (fun i (t : Lint.token) ->
-      if t.Lint.kind = Lint.Ident && is_hashtbl_iteration t.Lint.text then
+    (fun i (t : Lexer.token) ->
+      if t.Lexer.kind = Lexer.Ident && is_hashtbl_iteration t.Lexer.text then
         match Parser.enclosing sc.Pass.sc_contexts i with
         | None -> ()
         | Some c ->
@@ -115,13 +115,13 @@ let run_hashtbl_order (sc : Pass.source_ctx) =
               if !sink <> "" && not !sorted then
                 out :=
                   Pass.finding ~rule:"hashtbl-order" ~family
-                    ~path:sc.Pass.sc_path ~line:t.Lint.tline
+                    ~path:sc.Pass.sc_path ~line:t.Lexer.tline
                     ~message:
                       (Printf.sprintf
                          "%s feeds an ordered sink (%s) in '%s'; Hashtbl \
                           iteration order is unspecified — sort the keys \
                           first or mark the binding [@vtp.unordered]"
-                         t.Lint.text !sink b.Parser.bname)
+                         t.Lexer.text !sink b.Parser.bname)
                     ~context:(Parser.qualified_name c)
                   :: !out
             end)
@@ -136,10 +136,10 @@ let run_wall_clock (sc : Pass.source_ctx) =
   let ts = sc.Pass.sc_tokens in
   let out = ref [] in
   Array.iteri
-    (fun i (t : Lint.token) ->
+    (fun i (t : Lexer.token) ->
       if
-        t.Lint.kind = Lint.Ident
-        && List.mem (Pass.strip_stdlib t.Lint.text) clock_calls
+        t.Lexer.kind = Lexer.Ident
+        && List.mem (Pass.strip_stdlib t.Lexer.text) clock_calls
       then
         let context =
           match Parser.enclosing sc.Pass.sc_contexts i with
@@ -148,9 +148,9 @@ let run_wall_clock (sc : Pass.source_ctx) =
         in
         out :=
           Pass.finding ~rule:"wall-clock" ~family ~path:sc.Pass.sc_path
-            ~line:t.Lint.tline
+            ~line:t.Lexer.tline
             ~message:
-              (t.Lint.text
+              (t.Lexer.text
               ^ " reads the wall clock; simulated components must take \
                  time from Engine.Sim.now so runs replay identically")
             ~context

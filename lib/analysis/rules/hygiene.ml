@@ -16,9 +16,9 @@ let run_test_only (sc : Pass.source_ctx) =
   let ts = sc.Pass.sc_tokens in
   let out = ref [] in
   Array.iteri
-    (fun i (t : Lint.token) ->
-      if t.Lint.kind = Lint.Ident then
-        match Pass.components t.Lint.text with
+    (fun i (t : Lexer.token) ->
+      if t.Lexer.kind = Lexer.Ident then
+        match Pass.components t.Lexer.text with
         | _ :: (_ :: _ as rest)
           when List.exists (String.starts_with ~prefix:"test_only_") rest ->
             let context =
@@ -28,9 +28,9 @@ let run_test_only (sc : Pass.source_ctx) =
             in
             out :=
               Pass.finding ~rule:"test-only-escape" ~family
-                ~path:sc.Pass.sc_path ~line:t.Lint.tline
+                ~path:sc.Pass.sc_path ~line:t.Lexer.tline
                 ~message:
-                  (t.Lint.text
+                  (t.Lexer.text
                   ^ " is a test-only sabotage hook; production code must \
                      never reference it (tests under test/ are exempt)")
                 ~context
@@ -61,25 +61,24 @@ let upper_start s = s <> "" && s.[0] >= 'A' && s.[0] <= 'Z'
    fires when the interface is truly silent about a value.  None when
    the .mli is unreadable or uses [include] (the surface is then not
    syntactically evident). *)
-let harvest tc_read mli_path =
-  match tc_read mli_path with
+let harvest tc_tokens mli_path =
+  match tc_tokens mli_path with
   | None -> None
-  | Some src ->
-      let toks = Lint.tokenize src in
+  | Some toks ->
       if
-        List.exists
-          (fun (t : Lint.token) ->
-            t.Lint.kind = Lint.Ident && t.Lint.text = "include")
+        Array.exists
+          (fun (t : Lexer.token) ->
+            t.Lexer.kind = Lexer.Ident && t.Lexer.text = "include")
           toks
       then None
       else begin
         let names = Hashtbl.create 64 in
-        List.iter
-          (fun (t : Lint.token) ->
-            if t.Lint.kind = Lint.Ident then
+        Array.iter
+          (fun (t : Lexer.token) ->
+            if t.Lexer.kind = Lexer.Ident then
               List.iter
                 (fun c -> if lower_start c then Hashtbl.replace names c ())
-                (Pass.components t.Lint.text))
+                (Pass.components t.Lexer.text))
           toks;
         Some names
       end
@@ -90,7 +89,7 @@ let run_exports (tc : Pass.tree_ctx) =
     match Hashtbl.find_opt memo mli_path with
     | Some v -> v
     | None ->
-        let v = harvest tc.Pass.tc_read mli_path in
+        let v = harvest tc.Pass.tc_tokens mli_path in
         Hashtbl.add memo mli_path v;
         v
   in
@@ -100,22 +99,22 @@ let run_exports (tc : Pass.tree_ctx) =
   in
   List.concat_map
     (fun path ->
-      match tc.Pass.tc_read path with
+      match tc.Pass.tc_tokens path with
       | None -> []
-      | Some src ->
+      | Some toks ->
           let seen = Hashtbl.create 8 in
           List.filter_map
-            (fun (t : Lint.token) ->
-              if t.Lint.kind <> Lint.Ident then None
+            (fun (t : Lexer.token) ->
+              if t.Lexer.kind <> Lexer.Ident then None
               else
-                match Pass.components t.Lint.text with
+                match Pass.components t.Lexer.text with
                 | c0 :: c1 :: c2 :: _
                   when upper_start c1 && lower_start c2
-                       && not (Hashtbl.mem seen t.Lint.text) -> (
+                       && not (Hashtbl.mem seen t.Lexer.text) -> (
                     match List.assoc_opt c0 libmap with
                     | Some libdir
-                      when not (Lint.contains_sub ~sub:libdir path) -> (
-                        Hashtbl.replace seen t.Lint.text ();
+                      when not (Pass.contains_sub ~sub:libdir path) -> (
+                        Hashtbl.replace seen t.Lexer.text ();
                         let mli =
                           libdir ^ "/" ^ String.uncapitalize_ascii c1
                           ^ ".mli"
@@ -127,18 +126,18 @@ let run_exports (tc : Pass.tree_ctx) =
                             else
                               Some
                                 (Pass.finding ~rule:"undeclared-export"
-                                   ~family ~path ~line:t.Lint.tline
+                                   ~family ~path ~line:t.Lexer.tline
                                    ~message:
                                      (Printf.sprintf
                                         "'%s' is referenced cross-library \
                                          but '%s' does not declare '%s'; \
                                          export it (or stop reaching into \
                                          the internals)"
-                                        t.Lint.text mli c2)
-                                   ~context:t.Lint.text))
+                                        t.Lexer.text mli c2)
+                                   ~context:t.Lexer.text))
                     | _ -> None)
                 | _ -> None)
-            (Lint.tokenize src))
+            (Array.to_list toks))
     mls
 
 let passes : Pass.t list =

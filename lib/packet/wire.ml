@@ -221,251 +221,3 @@ let decode buf =
     Header.Handshake { kind; payload }
   end
   else raise (Malformed (Printf.sprintf "tag %d" tag))
-
-(* Zero-copy packed codec: the same byte layout as {!encode}/{!decode},
-   but written into a caller-supplied buffer at a fixed layout and read
-   back through decode-in-place accessors.  Every primitive is
-   [@inline always]: once the accessors inline into a caller's loop
-   body, the classic (non-flambda) middle-end keeps the intermediate
-   float/int64 values unboxed, so a full SACK roundtrip allocates
-   nothing.  {!encode} stays as the allocating reference codec and the
-   equivalence oracle for the property tests. *)
-module Packed = struct
-  [@@@vtp.hot]
-
-  let[@inline always] get_u8 b p = Bytes.get_uint8 b p
-  let[@inline always] get_u16 b p = Bytes.get_uint16_be b p
-
-  let[@inline always] get_u32 b p =
-    Int32.to_int (Bytes.get_int32_be b p) land 0xFFFFFFFF
-
-  let[@inline always] get_f64 b p =
-    Int64.float_of_bits (Bytes.get_int64_be b p)
-
-  let[@inline always] set_u8 b p v = Bytes.set_uint8 b p (v land 0xFF)
-  let[@inline always] set_u16 b p v = Bytes.set_uint16_be b p (v land 0xFFFF)
-
-  let[@inline always] set_u32 b p v =
-    Bytes.set_int32_be b p (Int32.of_int (v land 0xFFFFFFFF))
-
-  let[@inline always] set_f64 b p v =
-    Bytes.set_int64_be b p (Int64.bits_of_float v)
-
-  let measure hdr =
-    match hdr with
-    | Header.Data _ -> 29
-    | Header.Feedback _ -> 40
-    | Header.Sack_feedback sf -> 37 + (8 * List.length sf.blocks)
-    | Header.Handshake h -> 7 + String.length h.payload
-
-  let rec write_blocks buf off = function
-    | [] -> off
-    | b :: rest ->
-        set_u32 buf off (Serial.to_int b.Header.block_start);
-        set_u32 buf (off + 4) (Serial.to_int b.Header.block_end);
-        write_blocks buf (off + 8) rest
-
-  let encode_into hdr buf ~pos =
-    let n = measure hdr in
-    if pos < 0 || pos + n > Bytes.length buf then
-      raise (Malformed "buffer too small");
-    set_u8 buf pos (tag_of hdr);
-    set_u8 buf (pos + 1) 0;
-    (match hdr with
-    | Header.Data d ->
-        set_u32 buf (pos + 4) (Serial.to_int d.seq);
-        set_f64 buf (pos + 8) d.tstamp;
-        set_f64 buf (pos + 16) d.rtt_estimate;
-        set_u8 buf (pos + 24) (if d.is_retransmit then 1 else 0);
-        set_u32 buf (pos + 25) (Serial.to_int d.fwd_point)
-    | Header.Feedback f ->
-        set_f64 buf (pos + 4) f.tstamp_echo;
-        set_f64 buf (pos + 12) f.t_delay;
-        set_f64 buf (pos + 20) f.x_recv;
-        set_f64 buf (pos + 28) f.p;
-        set_u32 buf (pos + 36) (Serial.to_int f.recv_seq)
-    | Header.Sack_feedback sf ->
-        set_u32 buf (pos + 4) (Serial.to_int sf.cum_ack);
-        set_u8 buf (pos + 8) (List.length sf.blocks);
-        let off = write_blocks buf (pos + 9) sf.blocks in
-        set_f64 buf off sf.sack_tstamp_echo;
-        set_f64 buf (off + 8) sf.sack_t_delay;
-        set_f64 buf (off + 16) sf.sack_x_recv;
-        set_u32 buf (off + 24) sf.sack_ce_count
-    | Header.Handshake h ->
-        let kind =
-          match h.kind with
-          | Header.Syn -> 0
-          | Header.Syn_ack -> 1
-          | Header.Ack_hs -> 2
-          | Header.Close -> 3
-          | Header.Close_ack -> 4
-        in
-        set_u8 buf (pos + 4) kind;
-        set_u16 buf (pos + 5) (String.length h.payload);
-        Bytes.blit_string h.payload 0 buf (pos + 7) (String.length h.payload));
-    let ck = fletcher16 buf ~pos:(pos + 4) ~len:(n - 4) in
-    set_u16 buf (pos + 2) ck;
-    n
-
-  let[@vtp.alloc_ok] scratch_key =
-    Domain.DLS.new_key (fun () -> Bytes.create 65544)
-
-  let scratch () = Domain.DLS.get scratch_key
-
-  (* frame-start accessors: [b] buffer, [p] frame offset *)
-  let[@inline always] tag b p = get_u8 b p
-  let[@inline always] flags b p = get_u8 b (p + 1)
-  let[@inline always] checksum b p = get_u16 b (p + 2)
-  let[@inline always] data_seq b p = get_u32 b (p + 4)
-  let[@inline always] data_tstamp b p = get_f64 b (p + 8)
-  let[@inline always] data_rtt b p = get_f64 b (p + 16)
-  let[@inline always] data_is_retx b p = get_u8 b (p + 24) <> 0
-  let[@inline always] data_fwd_point b p = get_u32 b (p + 25)
-  let[@inline always] fb_tstamp_echo b p = get_f64 b (p + 4)
-  let[@inline always] fb_t_delay b p = get_f64 b (p + 12)
-  let[@inline always] fb_x_recv b p = get_f64 b (p + 20)
-  let[@inline always] fb_p b p = get_f64 b (p + 28)
-  let[@inline always] fb_recv_seq b p = get_u32 b (p + 36)
-  let[@inline always] sack_cum_ack b p = get_u32 b (p + 4)
-  let[@inline always] sack_nblocks b p = get_u8 b (p + 8)
-  let[@inline always] sack_block_start b p i = get_u32 b (p + 9 + (8 * i))
-  let[@inline always] sack_block_end b p i = get_u32 b (p + 13 + (8 * i))
-
-  let[@inline always] sack_tail b p = p + 9 + (8 * sack_nblocks b p)
-  let[@inline always] sack_tstamp_echo b p = get_f64 b (sack_tail b p)
-  let[@inline always] sack_t_delay b p = get_f64 b (sack_tail b p + 8)
-  let[@inline always] sack_x_recv b p = get_f64 b (sack_tail b p + 16)
-  let[@inline always] sack_ce_count b p = get_u32 b (sack_tail b p + 24)
-  let[@inline always] hs_kind b p = get_u8 b (p + 4)
-  let[@inline always] hs_payload_len b p = get_u16 b (p + 5)
-
-  let hs_payload b p = Bytes.sub_string b (p + 7) (hs_payload_len b p)
-
-  (* Structural + checksum validation of the frame [pos, pos+len);
-     raises on anything {!decode} would reject, without allocating on
-     the accept path. *)
-  let check buf ~pos ~len =
-    if pos < 0 || len < 4 || pos + len > Bytes.length buf then
-      raise (Malformed "short prefix");
-    let t = tag buf pos in
-    let need =
-      if t = tag_data then 29
-      else if t = tag_feedback then 40
-      else if t = tag_sack then
-        if len < 9 then raise (Malformed "truncated")
-        else 37 + (8 * sack_nblocks buf pos)
-      else if t = tag_handshake then
-        if len < 7 then raise (Malformed "truncated")
-        else if hs_kind buf pos > 4 then raise (Malformed "handshake kind")
-        else 7 + hs_payload_len buf pos
-      else raise (Malformed "bad tag")
-    in
-    if len <> need then raise (Malformed "truncated");
-    if fletcher16 buf ~pos:(pos + 4) ~len:(len - 4) <> checksum buf pos then
-      raise (Malformed "checksum mismatch")
-
-  (* Allocation-free structured read of a checked frame: every field is
-     loaded in place and folded into an integer digest (floats via
-     their raw bit patterns).  Composed here, in the accessors' own
-     unit, because the dev profile compiles with [-opaque], which
-     disables cross-module inlining — an external caller reading a
-     float field through an accessor gets a boxed return, while this
-     body keeps everything in registers.  The [packet.wire.inplace]
-     bench row and the zero-alloc property test drive exactly this
-     function; it doubles as a cheap whole-frame consistency read. *)
-  let[@inline always] mix acc v =
-    ((acc lsl 7) lxor (acc lsr 57)) lxor (v land max_int)
-
-  let[@inline always] f64_bits b p = Int64.to_int (Bytes.get_int64_be b p)
-
-  let rec digest_blocks b p i n acc =
-    if i >= n then acc
-    else
-      digest_blocks b p (i + 1) n
-        (mix (mix acc (sack_block_start b p i)) (sack_block_end b p i))
-
-  let read_digest buf ~pos =
-    let t = tag buf pos in
-    let acc = mix (mix 0 t) (flags buf pos) in
-    if t = tag_data then
-      mix
-        (mix
-           (mix
-              (mix (mix acc (data_seq buf pos)) (f64_bits buf (pos + 8)))
-              (f64_bits buf (pos + 16)))
-           (if data_is_retx buf pos then 1 else 0))
-        (data_fwd_point buf pos)
-    else if t = tag_feedback then
-      mix
-        (mix
-           (mix
-              (mix (mix acc (f64_bits buf (pos + 4))) (f64_bits buf (pos + 12)))
-              (f64_bits buf (pos + 20)))
-           (f64_bits buf (pos + 28)))
-        (fb_recv_seq buf pos)
-    else if t = tag_sack then begin
-      let n = sack_nblocks buf pos in
-      let acc = mix (mix acc (sack_cum_ack buf pos)) n in
-      let acc = digest_blocks buf pos 0 n acc in
-      let tail = sack_tail buf pos in
-      mix
-        (mix
-           (mix (mix acc (f64_bits buf tail)) (f64_bits buf (tail + 8)))
-           (f64_bits buf (tail + 16)))
-        (sack_ce_count buf pos)
-    end
-    else mix (mix acc (hs_kind buf pos)) (hs_payload_len buf pos)
-
-  (* View-based full decode (allocates the header); for tests and the
-     future real-UDP backend's slow path. *)
-  let[@vtp.alloc_ok] decode buf ~pos ~len =
-    check buf ~pos ~len;
-    let t = tag buf pos in
-    if t = tag_data then
-      Header.Data
-        {
-          seq = Serial.of_int (data_seq buf pos);
-          tstamp = data_tstamp buf pos;
-          rtt_estimate = data_rtt buf pos;
-          is_retransmit = data_is_retx buf pos;
-          fwd_point = Serial.of_int (data_fwd_point buf pos);
-        }
-    else if t = tag_feedback then
-      Header.Feedback
-        {
-          tstamp_echo = fb_tstamp_echo buf pos;
-          t_delay = fb_t_delay buf pos;
-          x_recv = fb_x_recv buf pos;
-          p = fb_p buf pos;
-          recv_seq = Serial.of_int (fb_recv_seq buf pos);
-        }
-    else if t = tag_sack then
-      Header.Sack_feedback
-        {
-          cum_ack = Serial.of_int (sack_cum_ack buf pos);
-          blocks =
-            List.init (sack_nblocks buf pos) (fun i ->
-                {
-                  Header.block_start =
-                    Serial.of_int (sack_block_start buf pos i);
-                  block_end = Serial.of_int (sack_block_end buf pos i);
-                });
-          sack_tstamp_echo = sack_tstamp_echo buf pos;
-          sack_t_delay = sack_t_delay buf pos;
-          sack_x_recv = sack_x_recv buf pos;
-          sack_ce_count = sack_ce_count buf pos;
-        }
-    else
-      Header.Handshake
-        {
-          kind =
-            (match hs_kind buf pos with
-            | 0 -> Header.Syn
-            | 1 -> Header.Syn_ack
-            | 2 -> Header.Ack_hs
-            | 3 -> Header.Close
-            | _ -> Header.Close_ack);
-          payload = hs_payload buf pos;
-        }
-end

@@ -19,76 +19,3 @@ val decode : bytes -> Header.t
 
 val fletcher16 : bytes -> pos:int -> len:int -> int
 (** The checksum used by the codec, exposed for tests. *)
-
-(** Zero-copy packed codec over the same byte layout as
-    {!encode}/{!decode}: fixed-layout encode into a caller-supplied (or
-    domain-local scratch) buffer, and decode-in-place field accessors.
-
-    All accessors take the buffer and the frame's start offset and are
-    [@inline always]; composed in one loop body they keep floats and
-    field offsets unboxed, so a SACK encode → {!Packed.check} → field
-    reads roundtrip allocates nothing (property-tested).  Sequence
-    fields travel as raw ints in [\[0, 2^32)] to keep the fast path free
-    of [Serial.t] boxing; convert with {!Serial.of_int} off the fast
-    path.  Accessors perform no bounds or tag validation of their own —
-    run {!Packed.check} once per frame first. *)
-module Packed : sig
-  val measure : Header.t -> int
-  (** Encoded size in bytes of a header under the packed layout. *)
-
-  val encode_into : Header.t -> bytes -> pos:int -> int
-  (** Write the frame at [pos]; returns its length ({!measure}).
-      Byte-identical to {!encode}'s output.
-      @raise Malformed when the buffer cannot hold the frame. *)
-
-  val scratch : unit -> bytes
-  (** A domain-local buffer large enough for any frame (64 KiB + max
-      header) — one per domain, reused across calls. *)
-
-  val check : bytes -> pos:int -> len:int -> unit
-  (** Validate the frame [pos, pos+len): structure, tag, and checksum.
-      Allocation-free on the accept path.
-      @raise Malformed on anything {!decode} would reject. *)
-
-  val decode : bytes -> pos:int -> len:int -> Header.t
-  (** View-based full decode ({!check} included) — the allocating slow
-      path, for tests and interop. *)
-
-  val read_digest : bytes -> pos:int -> int
-  (** Allocation-free in-place read of every field of a {!check}ed
-      frame, folded into an integer digest (floats enter via their raw
-      bit patterns).  The composed decode-in-place fast path: an
-      encode → {!check} → [read_digest] SACK roundtrip allocates zero
-      words (property-tested).  Note the float accessors below unbox
-      only when inlined into the caller's own compilation unit; the dev
-      profile builds with [-opaque], so cross-module float reads box
-      their result — which is why this composed reader lives here. *)
-
-  val tag : bytes -> int -> int
-  val flags : bytes -> int -> int
-  val checksum : bytes -> int -> int
-  val data_seq : bytes -> int -> int
-  val data_tstamp : bytes -> int -> float
-  val data_rtt : bytes -> int -> float
-  val data_is_retx : bytes -> int -> bool
-  val data_fwd_point : bytes -> int -> int
-  val fb_tstamp_echo : bytes -> int -> float
-  val fb_t_delay : bytes -> int -> float
-  val fb_x_recv : bytes -> int -> float
-  val fb_p : bytes -> int -> float
-  val fb_recv_seq : bytes -> int -> int
-  val sack_cum_ack : bytes -> int -> int
-  val sack_nblocks : bytes -> int -> int
-
-  val sack_block_start : bytes -> int -> int -> int
-  (** [sack_block_start buf pos i] — start of the [i]-th block. *)
-
-  val sack_block_end : bytes -> int -> int -> int
-  val sack_tstamp_echo : bytes -> int -> float
-  val sack_t_delay : bytes -> int -> float
-  val sack_x_recv : bytes -> int -> float
-  val sack_ce_count : bytes -> int -> int
-  val hs_kind : bytes -> int -> int
-  val hs_payload_len : bytes -> int -> int
-  val hs_payload : bytes -> int -> string
-end

@@ -176,9 +176,6 @@ let pack_frame t ~user ~take =
 let deliver_frame t ~user ~off ~len =
   t.delivered.(user) <- t.delivered.(user) + len;
   if t.cfg.audit then Dig.update t.dlv_dig user t.dv_buf ~pos:off ~len;
-  (match Tap.hooks () with
-  | Some h -> h.Tap.on_user_deliver { Tap.dv_user = user; dv_bytes = len }
-  | None -> ());
   match t.on_data with
   | Some f -> f ~user ~buf:t.dv_buf ~pos:off ~len
   | None -> ()
@@ -236,16 +233,6 @@ let[@vtp.hot] pack t =
       t.seg_lens.(i) <- used;
       t.nsegs <- k + 1;
       t.frames_packed <- t.frames_packed + t.pk_frames;
-      (match Tap.hooks () with
-      | Some h ->
-          h.Tap.on_segment
-            {
-              Tap.sg_index = k;
-              sg_frames = t.pk_frames;
-              sg_payload = used;
-              sg_budget = budget;
-            }
-      | None -> ());
       true
     end
   end
@@ -339,16 +326,6 @@ let admit t ~user ~src ~pos ~len =
     Qtp.Source.wake t.src
   end;
   t.rejected <- t.rejected + (len - acc);
-  (match Tap.hooks () with
-  | Some h ->
-      h.Tap.on_admit
-        {
-          Tap.au_user = user;
-          au_offered = len;
-          au_accepted = acc;
-          au_backlog = Q.length t.queues.(user);
-        }
-  | None -> ());
   acc
 
 let set_on_data t f = t.on_data <- Some f

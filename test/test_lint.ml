@@ -1,12 +1,15 @@
-(* Each lint rule gets a fixture that fires and a fixture that stays
-   clean, driven through [lint_string] (token rules) or
-   [lint_file_names] (tree-shape rules) so no files need creating. *)
+(* Each token-lint rule (the [lint] family of the analyzer) gets a
+   fixture that fires and a fixture that stays clean, driven through
+   [Check.run_string] (token rules) or [Check.run_files] (tree-shape
+   rules) so no files need creating. *)
 
-module L = Analysis.Lint
+module Check = Analysis.Check
+module Pass = Analysis.Pass
+module Report = Analysis.Report
 
-let ids fs = List.map (fun (f : L.finding) -> f.rule_id) fs
+let ids fs = List.map (fun (f : Pass.finding) -> f.Pass.rule) fs
 
-let fires id ~path src = List.mem id (ids (L.lint_string ~path src))
+let fires id ~path src = List.mem id (ids (Check.run_string ~path src))
 
 let check_fires id ~path src =
   Alcotest.(check bool)
@@ -74,7 +77,8 @@ let test_failwith_empty () =
 
 let test_missing_mli () =
   let has files =
-    List.mem "missing-mli" (ids (L.lint_file_names files))
+    List.mem "missing-mli"
+      (ids (Check.run_files (List.map (fun f -> (f, "")) files)))
   in
   Alcotest.(check bool) "lib .ml without .mli" true (has [ "lib/foo/a.ml" ]);
   Alcotest.(check bool)
@@ -89,30 +93,58 @@ let test_lexer_blind_spots () =
   check_clean "random-call" ~path:proto
     "(* nested (* Random.int *) with a \"*)\" string *) let x = 1\n";
   (* ... and line numbers survive multi-line comments *)
-  let fs = L.lint_string ~path:proto "(* one\n   two *)\nlet f () = assert false\n" in
+  let fs =
+    Check.run_string ~path:proto "(* one\n   two *)\nlet f () = assert false\n"
+  in
   match fs with
-  | [ f ] -> Alcotest.(check int) "line after comment" 3 f.L.line
+  | [ f ] -> Alcotest.(check int) "line after comment" 3 f.Pass.line
   | _ -> Alcotest.fail "expected exactly one finding"
 
 let test_severity_and_format () =
-  let fs = L.lint_string ~path:proto "let f () = assert false\n" in
-  Alcotest.(check int) "errors subset" 1 (List.length (L.errors fs));
-  match fs with
-  | [ f ] ->
+  let fs = Check.run_string ~path:proto "let f () = assert false\n" in
+  match Report.of_check fs with
+  | [ e ] ->
+      Alcotest.(check string) "lint family, no context" "lint/"
+        (e.Report.family ^ "/" ^ e.Report.context);
       Alcotest.(check string) "machine-readable rendering"
         "lib/tfrc/fixture.ml:1: [assert-false] error: bare 'assert false'; \
          raise an informative error (invalid_arg/failwith with a message) \
          instead"
-        (Format.asprintf "%a" L.pp_finding f)
+        (Format.asprintf "%a" Report.pp_entry (e, true))
   | _ -> Alcotest.fail "expected exactly one finding"
 
 let test_tree_is_clean () =
-  (* The repository's own sources must stay lint-clean; run from the
-     project root when available (dune runs tests in a sandbox dir, so
-     only assert when the tree is visible). *)
+  (* The repository's own sources must stay clean under the lint family;
+     run from the project root when available (dune runs tests in a
+     sandbox dir, so only assert when the tree is visible). *)
   if Sys.file_exists "lib" && Sys.file_exists "bin" then
-    let errs = L.errors (L.lint_tree ~roots:[ "lib"; "bin" ] ()) in
-    Alcotest.(check int) "no error findings in tree" 0 (List.length errs)
+    let lint =
+      List.filter
+        (fun (f : Pass.finding) -> String.equal f.Pass.family "lint")
+        (Check.run_tree ~roots:[ "lib"; "bin" ] ())
+    in
+    Alcotest.(check int) "no lint findings in tree" 0 (List.length lint)
+
+let lint_ids =
+  [
+    "poly-compare"; "float-eq"; "random-call"; "domain-spawn"; "obj-magic";
+    "assert-false"; "failwith-empty"; "missing-mli";
+  ]
+
+let test_registry () =
+  (* One registry: a duplicate id would make --explain and --rule
+     ambiguous. *)
+  let all = List.map (fun (p : Pass.t) -> p.Pass.id) Check.passes in
+  Alcotest.(check int) "18 passes" 18 (List.length all);
+  Alcotest.(check int) "ids unique" 18
+    (List.length (List.sort_uniq String.compare all));
+  List.iter
+    (fun id ->
+      match Check.find_pass id with
+      | Some p ->
+          Alcotest.(check string) (id ^ " is a lint pass") "lint" p.Pass.family
+      | None -> Alcotest.failf "find_pass %s" id)
+    lint_ids
 
 let suite =
   [
@@ -127,4 +159,5 @@ let suite =
     ("lexer blind spots", `Quick, test_lexer_blind_spots);
     ("severity and format", `Quick, test_severity_and_format);
     ("tree is clean", `Quick, test_tree_is_clean);
+    ("registry", `Quick, test_registry);
   ]

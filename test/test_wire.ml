@@ -179,140 +179,6 @@ let prop_bitflip_detected_or_decodes =
       | _ -> true
       | exception Packet.Wire.Malformed _ -> true)
 
-(* ------------------------------------------------------------------ *)
-(* The zero-copy packed codec: byte-for-byte equivalent to the boxed
-   codec, decodable in place, rejecting what [decode] rejects, and
-   allocation-free on the composed encode -> check -> read roundtrip. *)
-
-module P = Packet.Wire.Packed
-
-let prop_packed_matches_encode =
-  (* The packed writer must produce exactly [Wire.encode]'s bytes, at
-     any offset, without touching its surroundings. *)
-  QCheck.Test.make
-    ~name:"packed encode_into is byte-identical to Wire.encode" ~count:500
-    (QCheck.make gen_header)
-    (fun hdr ->
-      let want = Packet.Wire.encode hdr in
-      let pos = 3 in
-      let buf = Bytes.make (P.measure hdr + pos + 5) '\xAA' in
-      let n = P.encode_into hdr buf ~pos in
-      n = P.measure hdr
-      && n = Bytes.length want
-      && Bytes.equal (Bytes.sub buf pos n) want
-      && Bytes.equal (Bytes.sub buf 0 pos) (Bytes.make pos '\xAA')
-      && Bytes.equal
-           (Bytes.sub buf (pos + n) 5)
-           (Bytes.make 5 '\xAA'))
-
-let prop_packed_decode_identity =
-  QCheck.Test.make ~name:"packed encode -> decode-in-place is identity"
-    ~count:500 (QCheck.make gen_header)
-    (fun hdr ->
-      let pos = 7 in
-      let buf = Bytes.create (P.measure hdr + pos) in
-      let n = P.encode_into hdr buf ~pos in
-      hdr_equal hdr (P.decode buf ~pos ~len:n))
-
-let test_packed_check_truncation () =
-  let buf = Bytes.create 256 in
-  let n = P.encode_into (sample_sack [ block 10 12; block 20 25 ]) buf ~pos:0 in
-  P.check buf ~pos:0 ~len:n;
-  for len = 0 to n - 1 do
-    Alcotest.(check bool)
-      (Printf.sprintf "prefix of %d rejected" len)
-      true
-      (try
-         P.check buf ~pos:0 ~len;
-         false
-       with Packet.Wire.Malformed _ -> true)
-  done
-
-let test_packed_check_bad_buffer () =
-  let buf = Bytes.create 8 in
-  Alcotest.check_raises "too-small target rejected"
-    (Packet.Wire.Malformed "buffer too small") (fun () ->
-      ignore (P.encode_into sample_data buf ~pos:0))
-
-let prop_packed_check_agrees_with_decode =
-  (* On arbitrary bytes the packed validator and the boxed decoder must
-     agree exactly on accept vs reject. *)
-  QCheck.Test.make ~name:"packed check accepts iff decode accepts" ~count:500
-    QCheck.(string_of_size Gen.(int_bound 120))
-    (fun s ->
-      let buf = Bytes.of_string s in
-      let boxed_ok =
-        match Packet.Wire.decode buf with
-        | _ -> true
-        | exception Packet.Wire.Malformed _ -> false
-      in
-      let packed_ok =
-        match P.check buf ~pos:0 ~len:(Bytes.length buf) with
-        | () -> true
-        | exception Packet.Wire.Malformed _ -> false
-      in
-      boxed_ok = packed_ok)
-
-let prop_packed_corruption_never_crashes =
-  QCheck.Test.make
-    ~name:"packed corruption is rejected or reads cleanly" ~count:300
-    (QCheck.make
-       QCheck.Gen.(pair gen_header (pair (int_bound 1000) (int_range 1 255))))
-    (fun (hdr, (pos, flip)) ->
-      let buf = Bytes.create (P.measure hdr) in
-      let n = P.encode_into hdr buf ~pos:0 in
-      let i = pos mod n in
-      Bytes.set_uint8 buf i (Bytes.get_uint8 buf i lxor flip);
-      match P.check buf ~pos:0 ~len:n with
-      | () -> ignore (P.read_digest buf ~pos:0); true
-      | exception Packet.Wire.Malformed _ -> true)
-
-let test_packed_roundtrip_zero_alloc () =
-  (* The acceptance bar of the fast path: a full SACK roundtrip —
-     packed encode into the domain scratch, structural check, in-place
-     read of every field — allocates nothing once warm. *)
-  let hdr =
-    sample_sack
-      [ block 1100 1105; block 1110 1120; block 1200 1260; block 2000 2001 ]
-  in
-  let buf = P.scratch () in
-  let digest = ref 0 in
-  let spin iters =
-    for _ = 1 to iters do
-      let n = P.encode_into hdr buf ~pos:0 in
-      P.check buf ~pos:0 ~len:n;
-      digest := !digest lxor P.read_digest buf ~pos:0
-    done
-  in
-  spin 100 (* warm-up: scratch + any one-time boxing *);
-  let iters = 10_000 in
-  let before = Gc.minor_words () in
-  spin iters;
-  let per_op = (Gc.minor_words () -. before) /. float_of_int iters in
-  Alcotest.(check bool)
-    (Printf.sprintf "%.4f words/op (digest %x)" per_op (!digest land 0xFFFF))
-    true (per_op < 1.0)
-
-let test_packed_field_accessors () =
-  (* Spot-check the in-place views against the known sample values. *)
-  let buf = P.scratch () in
-  let n =
-    P.encode_into (sample_sack [ block 1100 1105; block 1110 1120 ]) buf ~pos:0
-  in
-  P.check buf ~pos:0 ~len:n;
-  Alcotest.(check int) "cum_ack" 1000 (P.sack_cum_ack buf 0);
-  Alcotest.(check int) "nblocks" 2 (P.sack_nblocks buf 0);
-  Alcotest.(check int) "block 0 start" 1100 (P.sack_block_start buf 0 0);
-  Alcotest.(check int) "block 1 end" 1120 (P.sack_block_end buf 0 1);
-  Alcotest.(check (float 0.0)) "x_recv" 2.0e6 (P.sack_x_recv buf 0);
-  Alcotest.(check int) "ce_count" 7 (P.sack_ce_count buf 0);
-  let n = P.encode_into sample_data buf ~pos:0 in
-  P.check buf ~pos:0 ~len:n;
-  Alcotest.(check int) "data seq" 1234567 (P.data_seq buf 0);
-  Alcotest.(check bool) "data retx" true (P.data_is_retx buf 0);
-  Alcotest.(check int) "data fwd" 1234000 (P.data_fwd_point buf 0);
-  Alcotest.(check (float 0.0)) "data rtt" 0.134 (P.data_rtt buf 0)
-
 let suite =
   [
     Alcotest.test_case "data round-trip" `Quick (roundtrip "data" sample_data);
@@ -332,19 +198,7 @@ let suite =
     Alcotest.test_case "truncation detected" `Quick test_truncation_detected;
     Alcotest.test_case "bad tag" `Quick test_bad_tag;
     Alcotest.test_case "fletcher16 known value" `Quick test_fletcher_known;
-    Alcotest.test_case "packed check: truncation" `Quick
-      test_packed_check_truncation;
-    Alcotest.test_case "packed encode: buffer too small" `Quick
-      test_packed_check_bad_buffer;
-    Alcotest.test_case "packed roundtrip allocates nothing" `Quick
-      test_packed_roundtrip_zero_alloc;
-    Alcotest.test_case "packed field accessors" `Quick
-      test_packed_field_accessors;
     QCheck_alcotest.to_alcotest prop_roundtrip;
     QCheck_alcotest.to_alcotest prop_decode_total;
     QCheck_alcotest.to_alcotest prop_bitflip_detected_or_decodes;
-    QCheck_alcotest.to_alcotest prop_packed_matches_encode;
-    QCheck_alcotest.to_alcotest prop_packed_decode_identity;
-    QCheck_alcotest.to_alcotest prop_packed_check_agrees_with_decode;
-    QCheck_alcotest.to_alcotest prop_packed_corruption_never_crashes;
   ]
