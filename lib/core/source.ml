@@ -35,45 +35,72 @@ let finite ~packets =
   }
 
 (* Shared machinery for rate-shaped sources: a byte accumulator filled
-   while [active ()], waking the sender when the next packet is ready. *)
+   while [active ()], waking the sender when the next packet is ready.
+   Credit and the last refill time live unboxed in [acc], and a
+   shortfall re-arms the one prebuilt [wake] thunk, so only a shortfall
+   allocates: the two float boxes of the wake-up's delay and due time. *)
+type shaper = {
+  sim : Engine.Sim.t;
+  bytes_per_s : float;
+  need : float;  (** bytes in one packet *)
+  active : unit -> bool;
+  acc : Float.Array.t;  (** [credit; last refill time] *)
+  mutable wake : unit -> unit;
+}
+
+let credit = 0
+
+let last = 1
+
+let[@vtp.hot] shaped_take sh =
+  let now = Engine.Sim.now sh.sim in
+  let acc = sh.acc in
+  if sh.active () then
+    Float.Array.set acc credit
+      (Float.Array.get acc credit
+      +. ((now -. Float.Array.get acc last) *. sh.bytes_per_s));
+  Float.Array.set acc last now;
+  let have = Float.Array.get acc credit in
+  (* The epsilon absorbs float rounding at the credit boundary; without
+     it a wakeup can land infinitesimally short of a packet and respawn
+     itself forever at the same virtual instant. *)
+  if have >= sh.need -. 1e-6 then begin
+    let left = have -. sh.need in
+    Float.Array.set acc credit (if left > 0.0 then left else 0.0);
+    true
+  end
+  else begin
+    if sh.active () then begin
+      let wait = ((sh.need -. have) /. sh.bytes_per_s) +. 1e-6 in
+      Engine.Sim.post_after sh.sim
+        (if wait > 1e-6 then wait else 1e-6)
+        sh.wake
+    end;
+    false
+  end
+
 let shaped ~sim ~rate_bps ~packet_size ~active =
   assert (rate_bps > 0.0 && packet_size > 0);
-  let bytes_per_s = rate_bps /. 8.0 in
-  let credit = ref 0.0 in
-  let last = ref (Engine.Sim.now sim) in
-  let refill () =
-    let now = Engine.Sim.now sim in
-    if active () then credit := !credit +. ((now -. !last) *. bytes_per_s);
-    last := now
+  let acc = Float.Array.make 2 0.0 in
+  Float.Array.set acc last (Engine.Sim.now sim);
+  let sh =
+    {
+      sim;
+      bytes_per_s = rate_bps /. 8.0;
+      need = float_of_int packet_size;
+      active;
+      acc;
+      wake = Engine.Event.noop;
+    }
   in
-  let take_impl t =
-    refill ();
-    let need = float_of_int packet_size in
-    (* The epsilon absorbs float rounding at the credit boundary; without
-       it a wakeup can land infinitesimally short of a packet and respawn
-       itself forever at the same virtual instant. *)
-    if !credit >= need -. 1e-6 then begin
-      credit := Float.max 0.0 (!credit -. need);
-      true
-    end
-    else begin
-      if active () then begin
-        let wait = ((need -. !credit) /. bytes_per_s) +. 1e-6 in
-        ignore
-          (Engine.Sim.schedule_after sim (Float.max wait 1e-6) (fun () ->
-               t.notify ()))
-      end;
-      false
-    end
+  let t =
+    { take_impl = (fun _ -> shaped_take sh); notify = ignore; offered = 0 }
   in
-  take_impl
+  sh.wake <- (fun () -> t.notify ());
+  t
 
 let cbr ~sim ~rate_bps ~packet_size () =
-  {
-    take_impl = shaped ~sim ~rate_bps ~packet_size ~active:(fun () -> true);
-    notify = ignore;
-    offered = 0;
-  }
+  shaped ~sim ~rate_bps ~packet_size ~active:(fun () -> true)
 
 let queued () =
   let backlog = ref 0 in
@@ -116,7 +143,6 @@ let on_off ~sim ~rng ~mean_on ~mean_off ~rate_bps ~packet_size () =
   ignore
     (Engine.Sim.schedule_after sim (Engine.Dist.exponential rng ~mean:mean_on)
        toggle);
-  let take_impl = shaped ~sim ~rate_bps ~packet_size ~active:(fun () -> !on) in
-  let t = { take_impl; notify = ignore; offered = 0 } in
+  let t = shaped ~sim ~rate_bps ~packet_size ~active:(fun () -> !on) in
   t_ref := Some t;
   t

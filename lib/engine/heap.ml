@@ -53,19 +53,27 @@ let add t x =
   t.size <- t.size + 1;
   sift_up t (t.size - 1)
 
-let min t = if t.size = 0 then None else Some t.data.(0)
+(* [top]/[drop_min] are the option-free primitives the scheduler's
+   per-event loop uses; [min]/[pop_min] wrap them for callers that want
+   an option. *)
+let[@vtp.hot] top t =
+  if t.size = 0 then invalid_arg "Heap.top: empty";
+  t.data.(0)
+
+let[@vtp.hot] drop_min t =
+  if t.size = 0 then invalid_arg "Heap.drop_min: empty";
+  t.size <- t.size - 1;
+  if t.size > 0 then begin
+    t.data.(0) <- t.data.(t.size);
+    sift_down t 0
+  end
+
+let min t = if t.size = 0 then None else Some (top t)
 
 let pop_min t =
-  if t.size = 0 then None
-  else begin
-    let root = t.data.(0) in
-    t.size <- t.size - 1;
-    if t.size > 0 then begin
-      t.data.(0) <- t.data.(t.size);
-      sift_down t 0
-    end;
-    Some root
-  end
+  let root = min t in
+  if t.size > 0 then drop_min t;
+  root
 
 let clear t = t.size <- 0
 

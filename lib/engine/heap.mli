@@ -3,7 +3,7 @@
     The heap is polymorphic in its element type; the ordering is fixed at
     creation time by a [compare] function following the convention of
     [Stdlib.compare].  All operations are the textbook complexities:
-    [add] and [pop_min] are O(log n), [min] is O(1). *)
+    [add] and [drop_min] are O(log n), [top] is O(1). *)
 
 type 'a t
 
@@ -18,11 +18,19 @@ val is_empty : 'a t -> bool
 val add : 'a t -> 'a -> unit
 (** Insert an element; duplicates are allowed. *)
 
+val top : 'a t -> 'a
+(** Smallest element, without removing it.  Allocates nothing.  Raises
+    [Invalid_argument] on an empty heap. *)
+
+val drop_min : 'a t -> unit
+(** Remove the smallest element.  Allocates nothing.  Raises
+    [Invalid_argument] on an empty heap. *)
+
 val min : 'a t -> 'a option
-(** Smallest element, without removing it. *)
+(** Smallest element, without removing it; [None] when empty. *)
 
 val pop_min : 'a t -> 'a option
-(** Remove and return the smallest element. *)
+(** Remove and return the smallest element; [None] when empty. *)
 
 val clear : 'a t -> unit
 (** Remove every element, keeping the underlying storage. *)

@@ -23,6 +23,7 @@ type t = {
   mutable executed : int;
   mutable tracer : (trace_op -> unit) option;
   mutable arenas : Slab.t option array;  (* indexed by Slab.key *)
+  sentinel : Event.t;  (* dead record [peek] returns from an empty heap *)
 }
 
 let create ?(seed = 42) ?(sched = `Wheel) () =
@@ -39,6 +40,7 @@ let create ?(seed = 42) ?(sched = `Wheel) () =
     executed = 0;
     tracer = None;
     arenas = [||];
+    sentinel = Event.make_dummy ();
   }
 
 let arena t lay =
@@ -109,10 +111,13 @@ let release t (ev : Event.t) =
   end
 (* else: pool full, let the GC have it *)
 
-let enqueue t time run =
+(* NaN compares false with everything, so it would slip past the
+   past-time check and poison both queues' orderings. *)
+let enqueue t ~fn time run =
+  if Float.is_nan time then invalid_arg (fn ^ ": NaN time");
   if time < t.clock then
     invalid_arg
-      (Printf.sprintf "Sim.schedule_at: time %g is before now %g" time t.clock);
+      (Printf.sprintf "%s: time %g is before now %g" fn time t.clock);
   let ev = alloc t time run in
   (match t.tracer with Some f -> f (T_schedule time) | None -> ());
   (match t.queue with
@@ -120,27 +125,30 @@ let enqueue t time run =
   | Q_wheel w -> Wheel.add w ev);
   ev
 
+let enqueue_after t ~fn delay run =
+  if Float.is_nan delay then invalid_arg (fn ^ ": NaN delay");
+  if delay < 0.0 then invalid_arg (fn ^ ": negative delay");
+  enqueue t ~fn (t.clock +. delay) run
+
 let schedule_at t time run =
-  let ev = enqueue t time run in
+  let ev = enqueue t ~fn:"Sim.schedule_at" time run in
   { ev; h_gen = ev.Event.gen }
 
 let schedule_after t delay run =
-  if delay < 0.0 then invalid_arg "Sim.schedule_after: negative delay";
-  schedule_at t (t.clock +. delay) run
+  let ev = enqueue_after t ~fn:"Sim.schedule_after" delay run in
+  { ev; h_gen = ev.Event.gen }
 
 (* Handle-free scheduling for owners that hold the event directly (the
    timer, the TFRC send tick): no 2-word handle per arming.  Callers
    must capture [ev.gen] at scheduling time and cancel via
    {!cancel_ev}. *)
 let schedule_after_ev t delay run =
-  if delay < 0.0 then invalid_arg "Sim.schedule_after: negative delay";
-  enqueue t (t.clock +. delay) run
+  enqueue_after t ~fn:"Sim.schedule_after_ev" delay run
 
-let post_at t time run = ignore (enqueue t time run : Event.t)
+let post_at t time run = ignore (enqueue t ~fn:"Sim.post_at" time run : Event.t)
 
 let post_after t delay run =
-  if delay < 0.0 then invalid_arg "Sim.post_after: negative delay";
-  post_at t (t.clock +. delay) run
+  ignore (enqueue_after t ~fn:"Sim.post_after" delay run : Event.t)
 
 let cancel_ev t ev ~gen =
   if ev.Event.gen = gen && ev.Event.live then begin
@@ -156,44 +164,55 @@ let cancel t { ev; h_gen } = cancel_ev t ev ~gen:h_gen
 let pending t =
   match t.queue with Q_heap h -> Heap.length h | Q_wheel w -> Wheel.length w
 
-(* Next live event, shedding cancelled heap entries as they surface.
-   Cancelled events never run and never advance the clock, under either
-   scheduler. *)
-let rec live_min t =
+(* The per-event spine.  [peek] returns the next live event, or a dead
+   sentinel ([live = false]) when none is queued, shedding cancelled
+   heap entries as they surface; [fire] detaches the head [peek] just
+   returned and runs it.  Neither allocates.  Cancelled events never run
+   and never advance the clock, under either scheduler. *)
+let[@vtp.hot] rec peek t =
   match t.queue with
-  | Q_wheel w -> Wheel.min w
-  | Q_heap h -> (
-      match Heap.min h with
-      | Some ev when not ev.Event.live ->
-          ignore (Heap.pop_min h);
+  | Q_wheel w -> Wheel.peek w
+  | Q_heap h ->
+      if Heap.is_empty h then t.sentinel
+      else
+        let ev = Heap.top h in
+        if ev.Event.live then ev
+        else begin
+          Heap.drop_min h;
           release t ev;
-          live_min t
-      | head -> head)
+          peek t
+        end
 
-let step t =
-  match live_min t with
-  | None -> false
-  | Some ev ->
-      (match t.queue with
-      | Q_heap h -> ignore (Heap.pop_min h)
-      | Q_wheel w -> ignore (Wheel.pop_min w));
-      t.clock <- ev.Event.time;
-      t.executed <- t.executed + 1;
-      (match t.tracer with Some f -> f T_pop | None -> ());
-      let run = ev.Event.run in
-      release t ev;
-      run ();
-      true
+let[@vtp.hot] fire t (ev : Event.t) =
+  (match t.queue with
+  | Q_heap h -> Heap.drop_min h
+  | Q_wheel w -> Wheel.drop w);
+  t.clock <- ev.Event.time;
+  t.executed <- t.executed + 1;
+  (match t.tracer with Some f -> f T_pop | None -> ());
+  let run = ev.Event.run in
+  release t ev;
+  run ()
+
+let[@vtp.hot] step t =
+  let ev = peek t in
+  if ev.Event.live then begin
+    fire t ev;
+    true
+  end
+  else false
+
+let[@vtp.hot] rec run_until t horizon =
+  let ev = peek t in
+  if ev.Event.live && ev.Event.time <= horizon then begin
+    fire t ev;
+    run_until t horizon
+  end
+  else t.clock <- Stdlib.max t.clock horizon
 
 let run ?until t =
   match until with
   | None -> while step t do () done
   | Some horizon ->
-      let continue = ref true in
-      while !continue do
-        match live_min t with
-        | Some ev when ev.Event.time <= horizon -> ignore (step t)
-        | Some _ | None ->
-            t.clock <- Stdlib.max t.clock horizon;
-            continue := false
-      done
+      if Float.is_nan horizon then invalid_arg "Sim.run: NaN horizon";
+      run_until t horizon

@@ -46,10 +46,13 @@ val arena : t -> Slab.layout -> Slab.t
 
 val schedule_at : t -> float -> (unit -> unit) -> handle
 (** [schedule_at t time f] runs [f] at virtual [time].  Scheduling in the
-    past raises [Invalid_argument]. *)
+    past or at a NaN time raises [Invalid_argument].  [infinity] is
+    accepted: such an event fires only from an unbounded {!run}. *)
 
 val schedule_after : t -> float -> (unit -> unit) -> handle
-(** [schedule_after t delay f] = [schedule_at t (now t +. delay) f]. *)
+(** [schedule_after t delay f] = [schedule_at t (now t +. delay) f].  A
+    negative or NaN [delay] raises [Invalid_argument], as it does for
+    every [*_after] function below. *)
 
 val post_at : t -> float -> (unit -> unit) -> unit
 (** Fire-and-forget {!schedule_at}: no cancellation handle is built, so
@@ -89,7 +92,9 @@ val executed : t -> int
 val run : ?until:float -> t -> unit
 (** Drain the event queue in time order.  With [until], stops once the
     next live event is strictly later than [until] and advances the
-    clock to [until].  Without it, runs until the queue empties. *)
+    clock to [until]; a NaN [until] raises [Invalid_argument].  Without
+    it, runs until the queue empties.  The loop allocates nothing of
+    its own: an event costs only what its thunk allocates. *)
 
 val step : t -> bool
 (** Execute the single next live event. [false] if none remain. *)

@@ -5,11 +5,10 @@
    arrays.  Protocol modules register a layout once at program init and
    allocate one slot per flow from the owning simulation's arena (see
    {!Sim.arena}), so 10k flows hold two arrays per state family rather
-   than 10k boxed records — and, because the float cells live in a flat
-   [float array], mutating them never allocates (OCaml boxes every
-   float write into a mixed-field record, which priced two words of
-   garbage into each hot-path rate/clock update under the old
-   record-of-mutable-floats representation).
+   than 10k boxed records.  The float cells live unboxed in a flat
+   [float array]; a read or write allocates nothing only once the
+   accessor inlines into its caller, which [-opaque] (dune's dev
+   profile) prevents across modules.  See the interface.
 
    Slots are never freed: flow state lives exactly as long as its
    simulation, and the arena is unreachable as soon as the [Sim.t] is.

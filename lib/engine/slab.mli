@@ -3,11 +3,18 @@
     A {!layout} names one state family (the TFRC sender's rate machine,
     a connection's receive window, …) and fixes its float/int cell
     counts; an arena packs every slot of one layout into two flat
-    parallel arrays.  Float cells are unboxed — mutating one allocates
-    nothing, unlike a float field in a mixed-type mutable record — and
-    ten thousand flows of one family cost two arrays instead of ten
-    thousand records.  See {!Sim.arena} for the per-simulation arena
-    registry. *)
+    parallel arrays, so ten thousand flows of one family cost two
+    arrays instead of ten thousand records.  See {!Sim.arena} for the
+    per-simulation arena registry.
+
+    Float cells are stored unboxed, but whether {!fget}/{!fset}
+    allocate depends on the build.  They allocate nothing only where
+    they inline into the caller, which needs cross-module information:
+    dune's release profile.  Dune's default dev profile compiles with
+    [-opaque], so every call from another module is a real call: an
+    {!fget} returns a boxed float (2 words) and an {!fset} of a computed
+    value boxes its argument (2 more words), no better than a float
+    field in a mixed-type mutable record. *)
 
 type layout
 

@@ -34,7 +34,18 @@ let overflow_id = levels * slots
 
 let ticks_per_second = 1e6
 
-let tick_of_time time = int_of_float (time *. ticks_per_second)
+(* Due times past [max_tick] (about 73,000 virtual years, and every
+   infinite time) share that one tick: they wait in the overflow
+   bucket, and the ready heap still fires them in (time, seq) order.
+   Without the clamp, [int_of_float] wraps them to [min_int], before
+   the cursor, and they would jump the queue. *)
+let max_tick = 1 lsl 61
+
+let max_tick_time = float_of_int max_tick
+
+let tick_of_time time =
+  let x = time *. ticks_per_second in
+  if x < max_tick_time then int_of_float x else max_tick
 
 type bucket = { mutable arr : Event.t array; mutable n : int }
 
@@ -231,29 +242,34 @@ and climb t l =
   end
 [@@vtp.hot]
 
-let[@vtp.hot] rec ensure t =
-  match Heap.min t.ready with
-  | Some ev when not ev.Event.live ->
+(* The next live event, or [t.dummy] (dead) when the wheel is empty.
+   Staged records cancelled after they reached the ready heap are shed
+   as they surface. *)
+let[@vtp.hot] rec peek t =
+  if Heap.is_empty t.ready then
+    if t.size = 0 then t.dummy
+    else if refill t then peek t
+    else failwith "Engine.Wheel: size accounting out of sync"
+  else
+    let ev = Heap.top t.ready in
+    if ev.Event.live then ev
+    else begin
       (* cancelled while staged: drop the corpse and keep looking *)
-      ignore (Heap.pop_min t.ready);
+      Heap.drop_min t.ready;
       ev.Event.where <- Event.in_none;
-      ensure t
-  | Some _ as head -> head
-  | None ->
-      if t.size = 0 then None
-      else if refill t then ensure t
-      else failwith "Engine.Wheel: size accounting out of sync"
+      peek t
+    end
 
-let[@vtp.hot] min t = ensure t
+(* Detach the head [peek] just returned. *)
+let[@vtp.hot] drop t =
+  let ev = Heap.top t.ready in
+  Heap.drop_min t.ready;
+  ev.Event.where <- Event.in_none;
+  t.size <- t.size - 1
 
 let pop_min t =
-  match ensure t with
-  | None -> None
-  | Some ev ->
-      ignore (Heap.pop_min t.ready);
-      ev.Event.where <- Event.in_none;
-      t.size <- t.size - 1;
-      Some ev
+  let ev = peek t in
+  if ev.Event.live then (drop t; Some ev) else None
 
 (* White-box accounting census for tests: every live event must be
    held exactly once, in a bucket or staged in the ready heap. *)

@@ -2,7 +2,8 @@
 
     Stores {!Event.t} records keyed by their [time], quantised to 1 µs
     ticks across nine levels of 32 slots (≈400 virtual days of horizon;
-    later deadlines overflow into a respread bucket).  Insert and cancel
+    later deadlines overflow into a respread bucket, and ticks saturate
+    past about 73,000 virtual years).  Insert and cancel
     are O(1) amortized; finding the next event costs O(1) amortized via
     per-level occupancy bitmaps plus an O(log k) ready heap over the k
     events of the current tick.
@@ -29,16 +30,24 @@ val remove : t -> Event.t -> bool
 val length : t -> int
 (** Number of live (uncancelled, unfired) events. *)
 
-val min : t -> Event.t option
-(** Peek the next event without firing it.  May advance the internal
-    cursor (cascading far slots down), which is unobservable. *)
+val peek : t -> Event.t
+(** The next event in (time, seq) order, without firing it, or a dead
+    sentinel record ([live = false]) when the wheel is empty.
+    Allocates nothing.  May advance the internal cursor (cascading far
+    slots down), which is unobservable. *)
+
+val drop : t -> unit
+(** Remove the event the last {!peek} returned.  Allocates nothing.
+    Only valid straight after a {!peek} that returned a live event. *)
 
 val pop_min : t -> Event.t option
-(** Remove and return the next event in (time, seq) order. *)
+(** {!peek} then {!drop}, as an option. *)
 
 val tick_of_time : float -> int
 (** The quantisation applied to due times (1 µs granularity), exposed
-    for white-box tests. *)
+    for white-box tests.  Times past the wheel's tick range, [infinity]
+    included, saturate to one last tick that is filed in the overflow
+    bucket. *)
 
 val census : t -> int * int * int * int
 (** White-box accounting snapshot for tests:

@@ -58,13 +58,13 @@ let arrive t =
 (* Serialization and propagation reuse one preallocated thunk each
    ([tx_done] / [arrival]); the frame travels via [tx_frame] and the
    flight ring, so a forwarded frame costs zero closure allocations. *)
-let rec transmit t frame =
+let transmit t frame =
   t.busy <- true;
   t.tx_frame <- frame;
   let tx_time = 8.0 *. float_of_int frame.Frame.size /. t.rate_bps in
   Engine.Sim.post_after t.sim tx_time t.tx_done
 
-and complete t =
+let[@vtp.hot] complete t =
   let frame = t.tx_frame in
   t.tx_frame <- Frame.dummy;
   t.st.tx_frames <- t.st.tx_frames + 1;
@@ -78,9 +78,9 @@ and complete t =
     Engine.Ring.push t.flight frame;
     Engine.Sim.post_after t.sim t.delay t.arrival
   end;
-  match Qdisc.dequeue t.qdisc ~now:(Engine.Sim.now t.sim) with
-  | Some next -> transmit t next
-  | None -> t.busy <- false
+  if Qdisc.length_pkts t.qdisc > 0 then
+    transmit t (Qdisc.take t.qdisc ~now:(Engine.Sim.now t.sim))
+  else t.busy <- false
 
 let create ~sim ~rate_bps ~delay ~qdisc ?(loss = Loss_model.none) ?mangler
     ?(name = "link") () =
@@ -119,10 +119,7 @@ let send t frame =
     (* Still count the packet at the qdisc so drop statistics and RED
        averages see the full arrival process. *)
     if Qdisc.enqueue t.qdisc ~now:(Engine.Sim.now t.sim) frame then
-      match Qdisc.dequeue t.qdisc ~now:(Engine.Sim.now t.sim) with
-      | Some f -> transmit t f
-      | None ->
-          failwith (t.name ^ ": qdisc accepted a frame but dequeued none")
+      transmit t (Qdisc.take t.qdisc ~now:(Engine.Sim.now t.sim))
   end
 
 (* Severing keeps event timing intact — the busy transmitter and the
@@ -133,14 +130,10 @@ let send t frame =
 let sever t =
   if not t.severed then begin
     t.severed <- true;
-    let rec drain () =
-      match Qdisc.dequeue t.qdisc ~now:(Engine.Sim.now t.sim) with
-      | Some frame ->
-          dropped t ~reason:Trace.Event.D_cut frame;
-          drain ()
-      | None -> ()
-    in
-    drain ()
+    while Qdisc.length_pkts t.qdisc > 0 do
+      dropped t ~reason:Trace.Event.D_cut
+        (Qdisc.take t.qdisc ~now:(Engine.Sim.now t.sim))
+    done
   end
 
 let restore t = t.severed <- false

@@ -165,23 +165,23 @@ let enqueue t ~now frame =
         | `Accept -> accept t frame
       end
 
+let[@vtp.hot] take t ~now =
+  let frame = Engine.Ring.pop t.fifo in
+  t.bytes <- t.bytes - frame.Frame.size;
+  t.st.dequeued <- t.st.dequeued + 1;
+  (match t.disc with
+  | Rio r when Mark.equal frame.Frame.mark Mark.Green ->
+      r.green_pkts <- r.green_pkts - 1
+  | Rio _ | Droptail _ | Red_q _ -> ());
+  if Engine.Ring.is_empty t.fifo then begin
+    match t.disc with
+    | Red_q { red; _ } -> Red.note_idle_start red ~now
+    | Rio r ->
+        Red.note_idle_start r.red_in ~now;
+        Red.note_idle_start r.red_out ~now
+    | Droptail _ -> ()
+  end;
+  frame
+
 let dequeue t ~now =
-  if Engine.Ring.is_empty t.fifo then None
-  else begin
-    let frame = Engine.Ring.pop t.fifo in
-    t.bytes <- t.bytes - frame.Frame.size;
-    t.st.dequeued <- t.st.dequeued + 1;
-    (match t.disc with
-    | Rio r when Mark.equal frame.Frame.mark Mark.Green ->
-        r.green_pkts <- r.green_pkts - 1
-    | Rio _ | Droptail _ | Red_q _ -> ());
-    if Engine.Ring.is_empty t.fifo then begin
-      match t.disc with
-      | Red_q { red; _ } -> Red.note_idle_start red ~now
-      | Rio r ->
-          Red.note_idle_start r.red_in ~now;
-          Red.note_idle_start r.red_out ~now
-      | Droptail _ -> ()
-    end;
-    Some frame
-  end
+  if Engine.Ring.is_empty t.fifo then None else Some (take t ~now)

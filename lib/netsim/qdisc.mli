@@ -47,7 +47,12 @@ val name : t -> string
 val enqueue : t -> now:float -> Frame.t -> bool
 (** [false] = the frame was dropped (tail or early). *)
 
+val take : t -> now:float -> Frame.t
+(** Remove the head frame of a non-empty queue.  Allocates nothing.
+    Raises [Invalid_argument] when the queue is empty. *)
+
 val dequeue : t -> now:float -> Frame.t option
+(** {!take}, or [None] when the queue is empty. *)
 
 val length_pkts : t -> int
 val length_bytes : t -> int

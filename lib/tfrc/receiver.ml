@@ -1,9 +1,9 @@
 (* Slab-packed implementation; [Receiver_ref] is the record-based
    oracle.  The per-packet bookkeeping (rate window, timestamp echo,
-   RTT adoption) writes only into the slab slot's flat arrays, so
-   receiving a data segment allocates nothing here — the old record
-   boxed a float per mutable-float write plus a [Some (tstamp,
-   arrival)] tuple per packet. *)
+   RTT adoption) writes only into the slab slot's flat arrays, so it
+   builds no [Some (tstamp, arrival)] tuple per packet as the old
+   record did.  Its float cells are boxed per access unless the slab
+   accessors inline (see {!Engine.Slab}). *)
 
 let lay = Engine.Slab.layout ~floats:5 ~ints:6
 

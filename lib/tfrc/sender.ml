@@ -1,10 +1,11 @@
 (* Slab-packed implementation; [Sender_ref] is the record-based oracle.
 
    All mutable numeric state lives in one {!Engine.Slab} slot so that
-   10k senders share two flat arrays and — critically — rate/clock
-   updates never allocate: a mutable float field in the old mixed
-   record boxed two words on every write, which on the tick path meant
-   garbage proportional to packets sent.  The send tick keeps the
+   10k senders share two flat arrays.  Rate/clock updates allocate
+   nothing only where the slab accessors inline (see {!Engine.Slab}:
+   not under [-opaque]); otherwise each float read or computed write
+   boxes two words, as a mutable float field in the old mixed record
+   did on every write.  The send tick keeps the
    pending event inline (event + generation, preallocated fire thunk)
    instead of an option-wrapped handle, mirroring {!Engine.Timer}. *)
 

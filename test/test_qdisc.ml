@@ -121,6 +121,45 @@ let test_dequeue_empty () =
   Alcotest.(check bool) "empty dequeue" true
     (Netsim.Qdisc.dequeue q ~now:0.0 = None)
 
+(* [take] is the link's per-frame dequeue: no option box, and on RIO
+   the green accounting and the idle-start notes that fire when the
+   queue empties allocate nothing either. *)
+let test_take_alloc_free () =
+  let frames =
+    Array.init 64 (fun i ->
+        frame
+          ~mark:(if i mod 2 = 0 then Netsim.Mark.Green else Netsim.Mark.Red)
+          i)
+  in
+  List.iter
+    (fun (name, q) ->
+      let words = ref 0.0 and takes = ref 0 in
+      for round = 0 to 9 do
+        Array.iter (fun f -> ignore (Netsim.Qdisc.enqueue q ~now:0.0 f)) frames;
+        let n = Netsim.Qdisc.length_pkts q in
+        let before = Gc.minor_words () in
+        for _ = 1 to n do
+          ignore (Netsim.Qdisc.take q ~now:0.1 : Netsim.Frame.t)
+        done;
+        if round > 0 then begin
+          words := !words +. (Gc.minor_words () -. before);
+          takes := !takes + n
+        end
+      done;
+      Alcotest.(check bool) (name ^ " frames taken") true (!takes > 0);
+      Alcotest.(check (float 0.0)) (name ^ " words per take") 0.0
+        (!words /. float_of_int !takes))
+    [
+      ("droptail", Netsim.Qdisc.droptail ~capacity_pkts:64);
+      ("rio", rio_q ());
+    ]
+
+let test_take_empty () =
+  let q = Netsim.Qdisc.droptail ~capacity_pkts:2 in
+  Alcotest.check_raises "take on an empty queue"
+    (Invalid_argument "Ring.pop: empty") (fun () ->
+      ignore (Netsim.Qdisc.take q ~now:0.0 : Netsim.Frame.t))
+
 let prop_droptail_never_exceeds_capacity =
   QCheck.Test.make ~name:"droptail occupancy bounded" ~count:100
     QCheck.(list bool)
@@ -146,5 +185,7 @@ let suite =
     Alcotest.test_case "rio protects green" `Quick test_rio_protects_green;
     Alcotest.test_case "rio green accounting" `Quick test_rio_green_accounting;
     Alcotest.test_case "dequeue empty" `Quick test_dequeue_empty;
+    Alcotest.test_case "take allocates nothing" `Quick test_take_alloc_free;
+    Alcotest.test_case "take empty" `Quick test_take_empty;
     QCheck_alcotest.to_alcotest prop_droptail_never_exceeds_capacity;
   ]

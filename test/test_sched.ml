@@ -51,6 +51,69 @@ let test_horizon_reached_on_early_drain sched () =
   Alcotest.(check (float 1e-9))
     "clock lands on horizon after queue empties" 10.0 (Engine.Sim.now sim)
 
+(* Due times past the wheel's tick range used to wrap to [min_int] and
+   jump the queue: the wheel then fired nothing before the horizon.
+   Both backends must fire A and C by the horizon, leave B pending, and
+   fire B last when drained. *)
+let far_trace ~sched far =
+  let buf = Buffer.create 64 in
+  let sim = Engine.Sim.create ~sched () in
+  let note tag () =
+    Buffer.add_string buf (Printf.sprintf "%s@%h;" tag (Engine.Sim.now sim))
+  in
+  ignore (Engine.Sim.schedule_at sim 1.0 (note "A"));
+  ignore (Engine.Sim.schedule_at sim far (note "B"));
+  ignore (Engine.Sim.schedule_at sim 2.0 (note "C"));
+  Engine.Sim.run ~until:10.0 sim;
+  Buffer.add_string buf
+    (Printf.sprintf "horizon@%h+%d;" (Engine.Sim.now sim)
+       (Engine.Sim.pending sim));
+  Engine.Sim.run sim;
+  Buffer.add_string buf (Printf.sprintf "end@%h" (Engine.Sim.now sim));
+  Buffer.contents buf
+
+let test_far_times () =
+  List.iter
+    (fun far ->
+      let expect =
+        Printf.sprintf "A@%h;C@%h;horizon@%h+1;B@%h;end@%h" 1.0 2.0 10.0 far far
+      in
+      List.iter
+        (fun (name, sched) ->
+          Alcotest.(check string)
+            (Printf.sprintf "t=%h [%s]" far name)
+            expect (far_trace ~sched far))
+        scheds)
+    [ infinity; 1e13; max_float ]
+
+let test_far_ticks_saturate () =
+  let tick = Engine.Wheel.tick_of_time in
+  Alcotest.(check bool) "beyond range saturates" true
+    (tick 1e13 = tick infinity && tick max_float = tick infinity);
+  Alcotest.(check bool) "monotone up to saturation" true
+    (tick 0.0 < tick 1.0 && tick 1.0 < tick 1e12 && tick 1e12 <= tick 1e13)
+
+(* Every scheduling entry point rejects a NaN time or delay: NaN
+   compares false with everything, so it would slip past the past-time
+   check and corrupt either queue's order. *)
+let test_nan_rejected sched () =
+  let sim = Engine.Sim.create ~sched () in
+  let rejects what f =
+    match f () with
+    | () -> Alcotest.failf "%s accepted NaN" what
+    | exception Invalid_argument _ -> ()
+  in
+  rejects "schedule_at" (fun () -> ignore (Engine.Sim.schedule_at sim nan ignore));
+  rejects "schedule_after" (fun () ->
+      ignore (Engine.Sim.schedule_after sim nan ignore));
+  rejects "post_at" (fun () -> Engine.Sim.post_at sim nan ignore);
+  rejects "post_after" (fun () -> Engine.Sim.post_after sim nan ignore);
+  rejects "schedule_after_ev" (fun () ->
+      ignore (Engine.Sim.schedule_after_ev sim nan ignore));
+  rejects "run ~until" (fun () -> Engine.Sim.run ~until:nan sim);
+  Alcotest.(check int) "nothing was queued" 0 (Engine.Sim.pending sim);
+  Alcotest.(check (float 0.0)) "clock untouched" 0.0 (Engine.Sim.now sim)
+
 (* ------------------------------------------------------------------ *)
 (* Differential property.  A program is a list of (tag, arg) pairs —
    integers so qcheck can shrink both the list and the elements —
@@ -198,9 +261,14 @@ let suite =
           (Printf.sprintf "horizon reached on early drain [%s]" name)
           `Quick
           (test_horizon_reached_on_early_drain sched);
+        Alcotest.test_case
+          (Printf.sprintf "NaN time or delay rejected [%s]" name)
+          `Quick (test_nan_rejected sched);
       ])
     scheds
   @ [
+      Alcotest.test_case "far due times: wheel = heap" `Quick test_far_times;
+      Alcotest.test_case "far ticks saturate" `Quick test_far_ticks_saturate;
       QCheck_alcotest.to_alcotest prop_differential;
       QCheck_alcotest.to_alcotest prop_census;
       Alcotest.test_case "fuzz smoke corpus digests (wheel = heap)" `Quick

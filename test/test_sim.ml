@@ -100,6 +100,62 @@ let test_cascading_events () =
     "clock advanced by chain" true
     (Float.abs (Engine.Sim.now sim -. 9.9) < 1e-6)
 
+(* The dispatch loop allocates nothing of its own.  Groups of three
+   events share one due time (so the wheel stages them together in its
+   ready heap); the first cancels the second, which must then be shed
+   as a dead head, and the third is a plain no-op.  All thunks and due
+   times are built before counting.  Two warm-up rounds of the same
+   shape size the event pool and the scheduler's arrays (the second
+   round's offset reaches wheel slots the first did not).  [run ~until]
+   boxes its [Some horizon] once per call, so the count is taken
+   against the same call on the drained queue. *)
+let spine_words ~sched ~until =
+  let sim = Engine.Sim.create ~sched () in
+  let groups = 2000 in
+  let handles = Array.make groups None in
+  let killers =
+    Array.init groups (fun g () ->
+        match handles.(g) with
+        | Some h -> Engine.Sim.cancel sim h
+        | None -> ())
+  in
+  let noop () = () in
+  let load () =
+    let t0 = Engine.Sim.now sim in
+    for g = 0 to groups - 1 do
+      let at = t0 +. (float_of_int (g + 1) *. 1e-3) in
+      ignore (Engine.Sim.schedule_at sim at killers.(g));
+      handles.(g) <- Some (Engine.Sim.schedule_at sim at noop);
+      ignore (Engine.Sim.schedule_at sim at noop)
+    done
+  in
+  let horizon = ref 0.0 in
+  let drain () =
+    if until then Engine.Sim.run ~until:!horizon sim else Engine.Sim.run sim
+  in
+  let counted f =
+    let before = Gc.minor_words () in
+    f ();
+    Gc.minor_words () -. before
+  in
+  for _ = 1 to 2 do
+    load ();
+    horizon := Engine.Sim.now sim +. 10.0;
+    drain ()
+  done;
+  load ();
+  horizon := Engine.Sim.now sim +. 10.0;
+  let fired = Engine.Sim.executed sim in
+  let words = counted drain in
+  Alcotest.(check int) "two of three fired per group" (2 * groups)
+    (Engine.Sim.executed sim - fired);
+  Alcotest.(check int) "queue drained" 0 (Engine.Sim.pending sim);
+  (words -. counted drain) /. float_of_int (2 * groups)
+
+let test_spine_alloc_free sched until () =
+  Alcotest.(check (float 0.0)) "words per event" 0.0
+    (spine_words ~sched ~until)
+
 let suite =
   [
     Alcotest.test_case "time order" `Quick test_runs_in_time_order;
@@ -113,3 +169,16 @@ let suite =
     Alcotest.test_case "step" `Quick test_step;
     Alcotest.test_case "cascading events" `Quick test_cascading_events;
   ]
+  @ List.concat_map
+      (fun (name, sched) ->
+        [
+          Alcotest.test_case
+            (Printf.sprintf "run allocates nothing [%s]" name)
+            `Quick
+            (test_spine_alloc_free sched false);
+          Alcotest.test_case
+            (Printf.sprintf "run ~until allocates nothing [%s]" name)
+            `Quick
+            (test_spine_alloc_free sched true);
+        ])
+      [ ("wheel", `Wheel); ("heap", `Heap) ]

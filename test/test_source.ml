@@ -87,6 +87,40 @@ let test_on_off_produces_bursts () =
     true
     (!taken > 400 && !taken < 2100)
 
+(* A CBR source paced by its own wake-ups: each wake takes one packet,
+   then falls short and re-arms the prebuilt wake thunk.  Credit lives
+   unboxed, so the only words are the shortfall's two float boxes: the
+   delay handed to [Sim.post_after] and the due time it computes.  The
+   heap backend keeps the wheel's one-time bucket growth, as the clock
+   reaches fresh slots, out of the count. *)
+let test_cbr_take_words () =
+  let sim = Engine.Sim.create ~sched:`Heap () in
+  let s = Qtp.Source.cbr ~sim ~rate_bps:8000.0 ~packet_size:100 () in
+  let taken = ref 0 and asked = ref 0 in
+  let rec drain () =
+    incr asked;
+    if Qtp.Source.take s then begin
+      incr taken;
+      drain ()
+    end
+  in
+  Qtp.Source.set_notify s drain;
+  drain ();
+  let steps n =
+    for _ = 1 to n do
+      ignore (Engine.Sim.step sim : bool)
+    done
+  in
+  steps 100 (* warm-up: the event pool holds a record to reuse *);
+  let taken0 = !taken and asked0 = !asked in
+  let before = Gc.minor_words () in
+  steps 1000;
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check int) "one packet per wake-up" 1000 (!taken - taken0);
+  Alcotest.(check int) "two takes per wake-up" 2000 (!asked - asked0);
+  Alcotest.(check (float 0.0)) "words per take" 2.0
+    (words /. float_of_int (!asked - asked0))
+
 let suite =
   [
     Alcotest.test_case "greedy" `Quick test_greedy;
@@ -96,4 +130,5 @@ let suite =
     Alcotest.test_case "cbr long-run rate" `Quick test_cbr_long_run_rate;
     Alcotest.test_case "queued" `Quick test_queued;
     Alcotest.test_case "on/off bursts" `Quick test_on_off_produces_bursts;
+    Alcotest.test_case "cbr take words" `Quick test_cbr_take_words;
   ]
