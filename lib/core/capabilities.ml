@@ -89,77 +89,81 @@ let encode_offer o =
     o.qos_target_bps o.partial_max_retx o.partial_deadline
     (if o.ecn then 1 else 0)
 
-let fields_of s =
-  match String.split_on_char ';' s with
-  | magic :: rest ->
-      let kvs =
-        List.filter_map
-          (fun part ->
-            match String.index_opt part '=' with
-            | Some i ->
-                Some
-                  ( String.sub part 0 i,
-                    String.sub part (i + 1) (String.length part - i - 1) )
-            | None -> None)
-          rest
-      in
-      Ok (magic, kvs)
-  | [] -> Error "empty capability string"
+(* Decoding looks fields up in place.  The value of [key] is the text
+   after the first '=' of the first field after the magic whose text
+   before that '=' is [key] -- what splitting the string on ';' and '='
+   into an association list gave, without building the list.  Errors
+   leave through [Decode] and become the [Error] of the entry point. *)
 
-let lookup kvs k =
-  match List.assoc_opt k kvs with
-  | Some v -> Ok v
-  | None -> Error ("missing field: " ^ k)
+exception Decode of string
 
-let ( let* ) = Result.bind
+(* End of the field starting at [i]: the next ';' or the string's end. *)
+let rec field_end s i =
+  if i >= String.length s || s.[i] = ';' then i else field_end s (i + 1)
 
-let parse_list of_string s =
-  let items = if s = "" then [] else String.split_on_char ',' s in
-  List.fold_left
-    (fun acc item ->
-      let* acc = acc in
-      let* x = of_string item in
-      Ok (acc @ [ x ]))
-    (Ok []) items
+(* [p] occurs in [s] at [i]; the caller checked the length. *)
+let rec occurs_at s i p k =
+  k >= String.length p || (s.[i + k] = p.[k] && occurs_at s i p (k + 1))
 
-let parse_float name s =
-  match float_of_string_opt s with
-  | Some f -> Ok f
-  | None -> Error ("bad float in " ^ name)
+(* Start of [key]'s value in the fields from the one starting at [i]
+   on, or -1.  Keys contain no '='. *)
+let rec value_from s key i =
+  let stop = field_end s i and n = String.length key in
+  if i + n < stop && s.[i + n] = '=' && occurs_at s i key 0 then i + n + 1
+  else if stop >= String.length s then -1
+  else value_from s key (stop + 1)
 
-let parse_int name s =
-  match int_of_string_opt s with
-  | Some i -> Ok i
-  | None -> Error ("bad int in " ^ name)
+let check_magic s magic =
+  let m = field_end s 0 in
+  if not (m = String.length magic && occurs_at s 0 magic 0) then
+    raise (Decode ("bad magic: " ^ String.sub s 0 m))
+
+let field s key =
+  let m = field_end s 0 in
+  let v = if m >= String.length s then -1 else value_from s key (m + 1) in
+  if v < 0 then raise (Decode ("missing field: " ^ key))
+  else String.sub s v (field_end s v - v)
+
+let ok = function Ok v -> v | Error e -> raise (Decode e)
+
+let float_field s key =
+  match float_of_string_opt (field s key) with
+  | Some f -> f
+  | None -> raise (Decode ("bad float in " ^ key))
+
+let int_field s key =
+  match int_of_string_opt (field s key) with
+  | Some i -> i
+  | None -> raise (Decode ("bad int in " ^ key))
+
+(* List items in order, the first bad one failing the whole. *)
+let list_field of_string s key =
+  match field s key with
+  | "" -> []
+  | v -> List.map (fun item -> ok (of_string item)) (String.split_on_char ',' v)
 
 let decode_offer s =
-  let* magic, kvs = fields_of s in
-  if magic <> magic_offer then Error ("bad magic: " ^ magic)
-  else
-    let* planes_s = lookup kvs "planes" in
-    let* planes = parse_list plane_of_string planes_s in
-    let* rel_s = lookup kvs "rel" in
-    let* reliability = parse_list mode_of_string rel_s in
-    let* g_s = lookup kvs "g" in
-    let* qos_target_bps = parse_float "g" g_s in
-    let* pmr_s = lookup kvs "pmr" in
-    let* partial_max_retx = parse_int "pmr" pmr_s in
-    let* pdl_s = lookup kvs "pdl" in
-    let* partial_deadline = parse_float "pdl" pdl_s in
-    let* ecn_s = lookup kvs "ecn" in
-    let* ecn_i = parse_int "ecn" ecn_s in
-    if planes = [] then Error "offer with no feedback plane"
-    else if reliability = [] then Error "offer with no reliability mode"
-    else
-      Ok
-        {
-          planes;
-          reliability;
-          qos_target_bps;
-          partial_max_retx;
-          partial_deadline;
-          ecn = ecn_i <> 0;
-        }
+  match
+    check_magic s magic_offer;
+    let planes = list_field plane_of_string s "planes" in
+    let reliability = list_field mode_of_string s "rel" in
+    let qos_target_bps = float_field s "g" in
+    let partial_max_retx = int_field s "pmr" in
+    let partial_deadline = float_field s "pdl" in
+    let ecn = int_field s "ecn" <> 0 in
+    if planes = [] then raise (Decode "offer with no feedback plane");
+    if reliability = [] then raise (Decode "offer with no reliability mode");
+    {
+      planes;
+      reliability;
+      qos_target_bps;
+      partial_max_retx;
+      partial_deadline;
+      ecn;
+    }
+  with
+  | o -> Ok o
+  | exception Decode e -> Error e
 
 let encode_agreed a =
   Printf.sprintf "%s;plane=%s;rel=%s;g=%.17g;pmr=%d;pdl=%.17g;ecn=%d"
@@ -168,22 +172,18 @@ let encode_agreed a =
     (if a.use_ecn then 1 else 0)
 
 let decode_agreed s =
-  let* magic, kvs = fields_of s in
-  if magic <> magic_agreed then Error ("bad magic: " ^ magic)
-  else
-    let* plane_s = lookup kvs "plane" in
-    let* plane = plane_of_string plane_s in
-    let* mode_s = lookup kvs "rel" in
-    let* mode = mode_of_string mode_s in
-    let* g_s = lookup kvs "g" in
-    let* target_bps = parse_float "g" g_s in
-    let* pmr_s = lookup kvs "pmr" in
-    let* max_retx = parse_int "pmr" pmr_s in
-    let* pdl_s = lookup kvs "pdl" in
-    let* deadline = parse_float "pdl" pdl_s in
-    let* ecn_s = lookup kvs "ecn" in
-    let* ecn_i = parse_int "ecn" ecn_s in
-    Ok { plane; mode; target_bps; max_retx; deadline; use_ecn = ecn_i <> 0 }
+  match
+    check_magic s magic_agreed;
+    let plane = ok (plane_of_string (field s "plane")) in
+    let mode = ok (mode_of_string (field s "rel")) in
+    let target_bps = float_field s "g" in
+    let max_retx = int_field s "pmr" in
+    let deadline = float_field s "pdl" in
+    let use_ecn = int_field s "ecn" <> 0 in
+    { plane; mode; target_bps; max_retx; deadline; use_ecn }
+  with
+  | a -> Ok a
+  | exception Decode e -> Error e
 
 let to_policy a =
   match a.mode with

@@ -27,6 +27,11 @@ let config_pool : config Engine.Intern.pool = Engine.Intern.pool ()
 let config ?(packet_size = 1500) ?(initial_rtt = 0.5) ?max_rate_bps
     ?(cadence = Per_rtt) ?(selfish_p_factor = 1.0) ?(sack_blocks = 4)
     ?(oscillation_damping = false) ?(handover = `Keep) agreed =
+  (* Fail here, not at the first connection built from the config. *)
+  if packet_size <= 0 then
+    invalid_arg "Qtp.Connection.config: packet_size must be > 0";
+  if not (initial_rtt > 0.0) then
+    invalid_arg "Qtp.Connection.config: initial_rtt must be > 0";
   Engine.Intern.share config_pool
     {
       agreed;
@@ -50,7 +55,9 @@ type state =
 (* The receiver half's per-packet numeric state (rate window, timestamp
    echo, CE accounting) is slab-packed: the old mutable-float record
    fields boxed two words per write on every data arrival, and the
-   [(tstamp, arrival) option] echo added a tuple per packet. *)
+   [(tstamp, arrival) option] echo added a tuple per packet.  Float
+   cells are read and written through the slab's view ([rxf]), raw
+   unboxed accesses in this module. *)
 let rx_lay = Engine.Slab.layout ~floats:5 ~ints:3
 
 (* float cells *)
@@ -71,11 +78,16 @@ type receiver_side = {
   reassembly : Sack.Reassembly.t;
   rx_ar : Engine.Slab.t;
   rx_slot : int;
+  rx_fb : int;  (* row base of [rx_slot] in [Slab.floats rx_ar] *)
   mutable sack_timer : Engine.Timer.t option;
 }
 
-let[@inline] rxf r j = Engine.Slab.fget r.rx_ar r.rx_slot j
-let[@inline] rxf_set r j v = Engine.Slab.fset r.rx_ar r.rx_slot j v
+let[@inline] rxf r j =
+  Array.unsafe_get (Engine.Slab.floats r.rx_ar) (r.rx_fb + j)
+
+let[@inline] rxf_set r j v =
+  Array.unsafe_set (Engine.Slab.floats r.rx_ar) (r.rx_fb + j) v
+
 let[@inline] rxi r j = Engine.Slab.iget r.rx_ar r.rx_slot j
 let[@inline] rxi_set r j v = Engine.Slab.iset r.rx_ar r.rx_slot j v
 
@@ -337,21 +349,27 @@ let[@vtp.hot] sender_on_sack t (sf : Header.sack_feedback) =
       match t.snd.reconstructor with
       | None -> report_sack t sb sf
       | Some lr ->
-          let rtt = Tfrc.Sender.rtt t.snd.cc in
+          (* The RTT is read (and boxed) only for a report that replays
+             covers or CE marks; nothing in between samples it. *)
           let batch = Loss_reconstructor.begin_batch lr in
-          for k = 0 to Sack.Scoreboard.fb_covers sb - 1 do
-            Loss_reconstructor.push_cover lr
-              ~seq:(Sack.Scoreboard.cover_seq sb k)
-              ~sent_at:(Sack.Scoreboard.cover_sent_at sb k)
-              ~was_retx:(Sack.Scoreboard.cover_was_retx sb k)
-              ~rtt ~x_recv:sf.sack_x_recv ~packet_size:t.cfg.packet_size
-          done;
+          let covers = Sack.Scoreboard.fb_covers sb in
+          if covers > 0 then begin
+            let rtt = Tfrc.Sender.rtt t.snd.cc in
+            for k = 0 to covers - 1 do
+              Loss_reconstructor.push_cover lr
+                ~seq:(Sack.Scoreboard.cover_seq sb k)
+                ~sent_at:(Sack.Scoreboard.cover_sent_at sb k)
+                ~was_retx:(Sack.Scoreboard.cover_was_retx sb k)
+                ~rtt ~x_recv:sf.sack_x_recv ~packet_size:t.cfg.packet_size
+            done
+          end;
           report_sack t sb sf;
           Loss_reconstructor.end_batch lr batch;
           if sf.sack_ce_count > t.snd.known_ce then begin
             Loss_reconstructor.on_ce_marks lr
               ~new_marks:(sf.sack_ce_count - t.snd.known_ce)
-              ~rtt ~x_recv:sf.sack_x_recv ~packet_size:t.cfg.packet_size;
+              ~rtt:(Tfrc.Sender.rtt t.snd.cc) ~x_recv:sf.sack_x_recv
+              ~packet_size:t.cfg.packet_size;
             t.snd.known_ce <- sf.sack_ce_count
           end;
           let p = Loss_reconstructor.loss_event_rate lr in
@@ -752,7 +770,7 @@ let build ~sim ~endpoint ?cost_sender ?cost_receiver ?source ~start_at
   in
   let reconstructor =
     if agreed.Capabilities.plane = Capabilities.Light then
-      Some (Loss_reconstructor.create ~sim ?cost:cost_sender ~trace ())
+      Some (Loss_reconstructor.create ?cost:cost_sender ~trace ())
     else None
   in
   let source = match source with Some s -> s | None -> Source.greedy () in
@@ -802,6 +820,7 @@ let build ~sim ~endpoint ?cost_sender ?cost_receiver ?source ~start_at
         };
       rcv =
         (let rx_ar = Engine.Sim.arena sim rx_lay in
+         let rx_slot = Engine.Slab.alloc rx_ar in
          {
            std_recv = None;
            tracker =
@@ -812,7 +831,8 @@ let build ~sim ~endpoint ?cost_sender ?cost_receiver ?source ~start_at
               else None);
            reassembly;
            rx_ar;
-           rx_slot = Engine.Slab.alloc rx_ar;
+           rx_slot;
+           rx_fb = Engine.Slab.fbase rx_ar rx_slot;
            sack_timer = None;
          });
       goodput = Stats.Series.create ();

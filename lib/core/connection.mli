@@ -41,6 +41,8 @@ val config : ?packet_size:int -> ?initial_rtt:float -> ?max_rate_bps:float ->
   ?cadence:sack_cadence -> ?selfish_p_factor:float -> ?sack_blocks:int ->
   ?oscillation_damping:bool -> ?handover:Tfrc.Handover.policy ->
   Capabilities.agreed -> config
+(** @raise Invalid_argument if [packet_size <= 0] (a zero MSS) or
+    [initial_rtt] is not positive (NaN included). *)
 
 type state =
   | Negotiating

@@ -6,9 +6,11 @@
    allocate one slot per flow from the owning simulation's arena (see
    {!Sim.arena}), so 10k flows hold two arrays per state family rather
    than 10k boxed records.  The float cells live unboxed in a flat
-   [float array]; a read or write allocates nothing only once the
-   accessor inlines into its caller, which [-opaque] (dune's dev
-   profile) prevents across modules.  See the interface.
+   [float array].  Float cells are reached through a view
+   ([floats] plus the row base [fbase]) that the owning module indexes
+   with [Array.unsafe_get]/[unsafe_set] itself: a float-returning
+   accessor here would box its result on every call from another
+   module under [-opaque] (dune's dev profile).  See the interface.
 
    Slots are never freed: flow state lives exactly as long as its
    simulation, and the arena is unreachable as soon as the [Sim.t] is.
@@ -64,11 +66,9 @@ let alloc t =
    field index from the module's own layout constants, both invariants
    local to the owning module (the same contract as the SACK rings). *)
 
-let[@inline] [@vtp.hot] fget t slot j =
-  Array.unsafe_get t.f ((slot * t.lay.nf) + j)
+let[@inline] [@vtp.hot] floats t = t.f
 
-let[@inline] [@vtp.hot] fset t slot j v =
-  Array.unsafe_set t.f ((slot * t.lay.nf) + j) v
+let[@inline] [@vtp.hot] fbase t slot = slot * t.lay.nf
 
 let[@inline] [@vtp.hot] iget t slot j =
   Array.unsafe_get t.i ((slot * t.lay.ni) + j)

@@ -7,14 +7,17 @@
     arrays instead of ten thousand records.  See {!Sim.arena} for the
     per-simulation arena registry.
 
-    Float cells are stored unboxed, but whether {!fget}/{!fset}
-    allocate depends on the build.  They allocate nothing only where
-    they inline into the caller, which needs cross-module information:
-    dune's release profile.  Dune's default dev profile compiles with
-    [-opaque], so every call from another module is a real call: an
-    {!fget} returns a boxed float (2 words) and an {!fset} of a computed
-    value boxes its argument (2 more words), no better than a float
-    field in a mixed-type mutable record. *)
+    Float cells are stored unboxed and are reached through a {e view}:
+    {!floats} returns the arena's flat [float array] and {!fbase} the
+    first cell of a slot, and the owning module reads and writes
+    [Array.unsafe_get (floats a) (fbase a slot + j)] itself.  Because
+    the array's static type is [float array], the load and the store
+    compile to raw unboxed accesses in the caller, in every build
+    profile.  A float-returning accessor would not: dune's default dev
+    profile compiles with [-opaque], so a call from another module is
+    never inlined and its result is boxed (2 words per read, 4 per
+    read-modify-write, as measured before the view replaced it).
+    Integer cells have no such cost and keep {!iget}/{!iset}. *)
 
 type layout
 
@@ -41,10 +44,15 @@ val alloc : t -> int
 
 val slots : t -> int
 
-val fget : t -> int -> int -> float
-(** [fget a slot j] reads float cell [j] of [slot].  Unchecked. *)
+val floats : t -> float array
+(** The arena's float cells, all slots back to back.  Fetch it again
+    after any {!alloc}: growing the arena replaces the array.  Indexing
+    is unchecked by contract: only the owning module's layout constants
+    and {!fbase} results may be used. *)
 
-val fset : t -> int -> int -> float -> unit
+val fbase : t -> int -> int
+(** [fbase a slot] is the index of float cell 0 of [slot] in
+    {!floats}[ a]; cell [j] is at [fbase a slot + j]. *)
 
 val iget : t -> int -> int -> int
 

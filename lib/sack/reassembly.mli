@@ -18,11 +18,14 @@ val create :
 
 val on_data : t -> seq:Packet.Serial.t -> size:int -> unit
 (** Buffer (or immediately deliver) one segment.  Duplicates are
-    dropped. *)
+    dropped.  Allocates nothing in steady state; buffering grows the
+    backing arrays only when more segments wait than ever before. *)
 
 val apply_fwd_point : t -> Packet.Serial.t -> unit
 (** Abandon holes below the forward point, releasing buffered segments
-    behind them. *)
+    behind them.  The work is proportional to the segments released,
+    not to the width of the jump: a forward point [2^31 - 1] numbers
+    ahead costs what a short one does. *)
 
 val next_expected : t -> Packet.Serial.t
 

@@ -1,9 +1,13 @@
-let[@vtp.hot] rate ~s ~r ~p ?(b = 1.0) ?t_rto () =
-  assert (s > 0 && r > 0.0);
+(* Inlined into [loss_rate_for], whose bisection then evaluates it on
+   unboxed floats.  [b] (packets per ACK) is 1 and [t_RTO] is 4R, as
+   RFC 3448 §4.3 fixes them for TFRC. *)
+let[@inline] [@vtp.hot] rate ~s ~r ~p () =
+  if s <= 0 then invalid_arg "Tfrc.Equation.rate: s must be > 0";
+  if not (r > 0.0) then invalid_arg "Tfrc.Equation.rate: r must be > 0";
   if p <= 0.0 then infinity
   else begin
-    let p = Float.min p 1.0 in
-    let t_rto = match t_rto with Some t -> t | None -> 4.0 *. r in
+    let b = 1.0 and p = Float.min p 1.0 in
+    let t_rto = 4.0 *. r in
     let root1 = sqrt (2.0 *. b *. p /. 3.0) in
     let root2 = sqrt (3.0 *. b *. p /. 8.0) in
     let denom =
@@ -12,22 +16,25 @@ let[@vtp.hot] rate ~s ~r ~p ?(b = 1.0) ?t_rto () =
     float_of_int s /. denom
   end
 
-let rate_bps ~s ~r ~p ?b ?t_rto () = 8.0 *. rate ~s ~r ~p ?b ?t_rto ()
+let rate_bps ~s ~r ~p () = 8.0 *. rate ~s ~r ~p ()
 
 let loss_rate_for ~s ~r ~target =
   assert (target > 0.0);
-  let f p = rate ~s ~r ~p () in
+  if s <= 0 then invalid_arg "Tfrc.Equation.loss_rate_for: s must be > 0";
+  if not (r > 0.0) then
+    invalid_arg "Tfrc.Equation.loss_rate_for: r must be > 0";
+  (* [rate] inlines and the local refs never escape, so the bisection
+     allocates nothing.  (A local [f p = rate ...] closure would not
+     inline, and would box per call.) *)
   let lo = 1e-8 and hi = 1.0 in
-  if f hi >= target then 1.0
-  else if f lo <= target then lo
+  if rate ~s ~r ~p:hi () >= target then 1.0
+  else if rate ~s ~r ~p:lo () <= target then lo
   else begin
-    (* rate is decreasing in p: bisect for f p = target. *)
-    let rec bisect lo hi n =
-      if n = 0 then (lo +. hi) /. 2.0
-      else begin
-        let mid = (lo +. hi) /. 2.0 in
-        if f mid > target then bisect mid hi (n - 1) else bisect lo mid (n - 1)
-      end
-    in
-    bisect lo hi 60
+    (* rate is decreasing in p: bisect for rate p = target. *)
+    let lo = ref lo and hi = ref hi in
+    for _ = 1 to 60 do
+      let mid = (!lo +. !hi) /. 2.0 in
+      if rate ~s ~r ~p:mid () > target then lo := mid else hi := mid
+    done;
+    (!lo +. !hi) /. 2.0
   end

@@ -6,13 +6,16 @@
     [p] the loss event rate, [b] the number of packets acknowledged per
     ACK (1 for TFRC), and [t_RTO ~ 4R].  The result is in bytes/s. *)
 
-val rate : s:int -> r:float -> p:float -> ?b:float -> ?t_rto:float -> unit -> float
-(** Equation throughput in bytes/s.  [p <= 0] means "no loss observed";
-    the equation diverges there, so we return [infinity] and let callers
-    clamp (RFC 3448 callers always take a [min] with [2*X_recv]).
-    [t_rto] defaults to [4*r]. *)
+val rate : s:int -> r:float -> p:float -> unit -> float
+(** Equation throughput in bytes/s, with [b = 1] and [t_RTO = 4*r] as
+    RFC 3448 §4.3 fixes them for TFRC.  [p <= 0] means "no loss
+    observed"; the equation diverges there, so we return [infinity] and
+    let callers clamp (RFC 3448 callers always take a [min] with
+    [2*X_recv]).
+    @raise Invalid_argument if [s <= 0] or [r] is not positive (NaN
+    included). *)
 
-val rate_bps : s:int -> r:float -> p:float -> ?b:float -> ?t_rto:float -> unit -> float
+val rate_bps : s:int -> r:float -> p:float -> unit -> float
 (** [rate] in bits/s. *)
 
 val loss_rate_for : s:int -> r:float -> target:float -> float
@@ -20,4 +23,6 @@ val loss_rate_for : s:int -> r:float -> target:float -> float
     [target] bytes/s, found by bisection on [p] in [\[1e-8, 1\]].  Used to
     seed the first loss interval from the measured receive rate
     (RFC 3448 §6.3.1).  Returns 1.0 if even p=1 gives more than
-    [target], and 1e-8 if p=1e-8 still gives less. *)
+    [target], and 1e-8 if p=1e-8 still gives less.  Allocates only its
+    boxed result.
+    @raise Invalid_argument if [s <= 0] or [r] is not positive. *)

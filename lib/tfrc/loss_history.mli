@@ -32,14 +32,36 @@ val create :
 (** [ndup] (default 3): later packets needed to declare a hole lost.
     [history] (default 8): closed loss intervals retained.
     [discount] (default true): RFC 3448 §5.5 history discounting when
-    the open interval grows beyond twice the closed mean. *)
+    the open interval grows beyond twice the closed mean.
+    @raise Invalid_argument if [ndup < 1] or [history < 1]. *)
 
 val on_packet :
   t -> seq:Packet.Serial.t -> arrival:float -> rtt:float -> is_retx:bool -> unit
 (** Account one packet of the (possibly reconstructed) arrival stream.
     [rtt] is the sender RTT estimate used for loss-event grouping;
     retransmissions ([is_retx]) are excluded from congestion accounting
-    (the reliability plane, not the congestion plane, owns them). *)
+    (the reliability plane, not the congestion plane, owns them).
+    An in-order packet that opens no hole and confirms none allocates
+    nothing. *)
+
+val on_replay :
+  t ->
+  seq:Packet.Serial.t ->
+  sent_at:float ->
+  rtt:float ->
+  is_retx:bool ->
+  unit
+(** {!on_packet} for a {e virtual} arrival stream replayed from
+    acknowledgement feedback (QTP_light): the packet arrives at
+    [max (previous replay arrival) (sent_at +. rtt)], so the replay
+    clock is monotone even when covers from reordered feedback
+    interleave.  The clock advances for retransmissions too, although
+    they are not accounted.  Allocates nothing unless the packet
+    confirms a loss. *)
+
+val replay_clock : t -> float
+(** The latest virtual arrival time {!on_replay} assigned (0.0 before
+    any). *)
 
 val on_congestion_mark :
   t -> seq:Packet.Serial.t -> arrival:float -> rtt:float -> unit
@@ -64,7 +86,10 @@ val reseed : t -> float -> unit
     continues across the migration. *)
 
 val loss_event_rate : t -> float
-(** Current loss event rate [p]; 0.0 until the first loss event. *)
+(** Current loss event rate [p]; 0.0 until the first loss event.  Both
+    weighted means (with and without the open interval) and the §5.5
+    discount come from one pass over a fixed ring of closed intervals;
+    the only allocation is the boxed result. *)
 
 val mean_interval : t -> float
 (** The weighted average loss interval (packets); [infinity] before any
@@ -85,9 +110,13 @@ val packets_seen : t -> int
 val max_seq : t -> Packet.Serial.t option
 (** Highest sequence number seen. *)
 
+val highest_seq : t -> Packet.Serial.t
+(** {!max_seq} without the option: [Packet.Serial.zero] before any
+    packet. *)
+
 val closed_intervals : t -> float list
 (** Most recent first; exposed for tests and the estimator-fidelity
-    experiment. *)
+    experiment.  Builds a fresh list on each call. *)
 
 val open_interval : t -> float
 (** Packets since the start of the current loss event (0 before any). *)

@@ -2,8 +2,10 @@
    oracle.  The per-packet bookkeeping (rate window, timestamp echo,
    RTT adoption) writes only into the slab slot's flat arrays, so it
    builds no [Some (tstamp, arrival)] tuple per packet as the old
-   record did.  Its float cells are boxed per access unless the slab
-   accessors inline (see {!Engine.Slab}). *)
+   record did.  Float cells go through the slab's view ([Slab.floats]
+   at this slot's row base [fb]): raw unboxed loads and stores here,
+   so an in-order arrival without a CE mark allocates nothing beyond
+   the boxed clock reading it takes from the simulation. *)
 
 let lay = Engine.Slab.layout ~floats:5 ~ints:6
 
@@ -30,11 +32,15 @@ type t = {
   lh : Loss_history.t;
   ar : Engine.Slab.t;
   slot : int;
+  fb : int;  (* row base of [slot] in [Slab.floats ar] *)
   mutable timer : Engine.Timer.t option;  (* created lazily: needs self *)
 }
 
-let[@inline] fget t j = Engine.Slab.fget t.ar t.slot j
-let[@inline] fset t j v = Engine.Slab.fset t.ar t.slot j v
+let[@inline] fget t j = Array.unsafe_get (Engine.Slab.floats t.ar) (t.fb + j)
+
+let[@inline] fset t j v =
+  Array.unsafe_set (Engine.Slab.floats t.ar) (t.fb + j) v
+
 let[@inline] iget t j = Engine.Slab.iget t.ar t.slot j
 let[@inline] iset t j v = Engine.Slab.iset t.ar t.slot j v
 
@@ -54,11 +60,7 @@ let emit_feedback t =
     charge t "recv.std.feedback";
     iset t i_feedbacks (iget t i_feedbacks + 1);
     iset t i_reported_events (Loss_history.loss_events t.lh);
-    let recv_seq =
-      match Loss_history.max_seq t.lh with
-      | Some s -> s
-      | None -> Packet.Serial.zero
-    in
+    let recv_seq = Loss_history.highest_seq t.lh in
     if Trace.Sink.on t.trace then
       Trace.Sink.emit t.trace
         (Trace.Event.Fb_sent { x_recv = fget t f_x_recv; p });
@@ -92,6 +94,7 @@ let rec arm_timer t =
 
 let create ~sim ?cost ?trace ?ndup ?discount ~send_feedback () =
   let ar = Engine.Sim.arena sim lay in
+  let slot = Engine.Slab.alloc ar in
   let t =
     {
       sim;
@@ -100,7 +103,8 @@ let create ~sim ?cost ?trace ?ndup ?discount ~send_feedback () =
       send_feedback;
       lh = Loss_history.create ?ndup ?discount ?cost ();
       ar;
-      slot = Engine.Slab.alloc ar;
+      slot;
+      fb = Engine.Slab.fbase ar slot;
       timer = None;
     }
   in
@@ -109,27 +113,32 @@ let create ~sim ?cost ?trace ?ndup ?discount ~send_feedback () =
   iset t i_pkt_size 1500;
   t
 
-let[@vtp.hot] on_data t ?(ce = false) (d : Packet.Header.data) ~size =
+let[@vtp.hot] on_data t ~ce (d : Packet.Header.data) ~size =
   let now = Engine.Sim.now t.sim in
   charge t "recv.std.packet";
   iset t i_packets (iget t i_packets + 1);
   iset t i_pkt_size (Stdlib.max 1 size);
-  if d.rtt_estimate > 0.0 then fset t f_last_rtt d.rtt_estimate;
-  let last_rtt = fget t f_last_rtt in
+  let hdr_rtt = d.rtt_estimate in
+  if hdr_rtt > 0.0 then fset t f_last_rtt hdr_rtt;
   let first = iget t i_has_last = 0 in
   iset t i_has_last 1;
   fset t f_last_tstamp d.tstamp;
   fset t f_last_arrival now;
   iset t i_window_bytes (iget t i_window_bytes + size);
   let events_before = Loss_history.loss_events t.lh in
-  Loss_history.on_packet t.lh ~seq:d.seq ~arrival:now ~rtt:last_rtt
+  (* The header's estimate is already a boxed float: hand it on as it
+     is rather than reading back (and re-boxing) the cell it updated. *)
+  Loss_history.on_packet t.lh ~seq:d.seq ~arrival:now
+    ~rtt:(if hdr_rtt > 0.0 then hdr_rtt else fget t f_last_rtt)
     ~is_retx:d.is_retransmit;
   if ce then
-    Loss_history.on_congestion_mark t.lh ~seq:d.seq ~arrival:now ~rtt:last_rtt;
+    Loss_history.on_congestion_mark t.lh ~seq:d.seq ~arrival:now
+      ~rtt:(fget t f_last_rtt);
   let events_after = Loss_history.loss_events t.lh in
   if events_before = 0 && events_after = 1 then begin
     (* First loss event: synthesise the preceding interval from the
        measured receive rate (RFC 3448 §6.3.1). *)
+    let last_rtt = fget t f_last_rtt in
     let elapsed = now -. fget t f_window_start in
     let x_meas =
       if elapsed > 0.0 && iget t i_window_bytes > 0 then

@@ -6,17 +6,33 @@ type t = {
   q : float;
   mutable estimate : float;
   mutable count : float;
+  mutable last : float;  (* latest R_sample of [sample_echo] *)
 }
 
 let create ?(q = 0.9) ~initial () =
-  assert (initial > 0.0 && q >= 0.0 && q < 1.0);
-  { q; estimate = initial; count = 0.0 }
+  (* Written so that a NaN fails the test as well. *)
+  if not (initial > 0.0) then
+    invalid_arg "Tfrc.Rtt.create: initial must be > 0";
+  if not (q >= 0.0 && q < 1.0) then
+    invalid_arg "Tfrc.Rtt.create: q must be in [0, 1)";
+  { q; estimate = initial; count = 0.0; last = 0.0 }
 
-let sample t r =
-  assert (r > 0.0);
+let[@inline] update t r =
   if Float.equal t.count 0.0 then t.estimate <- r
   else t.estimate <- (t.q *. t.estimate) +. ((1.0 -. t.q) *. r);
   t.count <- t.count +. 1.0
+
+let sample t r =
+  assert (r > 0.0);
+  update t r
+
+(* Every argument arrives boxed already (the clock and two header
+   fields), so taking the sample here allocates nothing, where passing
+   a computed sample in would box it. *)
+let[@vtp.hot] sample_echo t ~now ~tstamp_echo ~t_delay =
+  let r = now -. tstamp_echo -. t_delay in
+  t.last <- r;
+  if r > 0.0 then update t r
 
 let reseed t r =
   assert (r > 0.0);

@@ -5,7 +5,19 @@
     the throughput equation and the nofeedback timer, not for
     retransmission). *)
 
-type t
+type t = private {
+  q : float;
+  mutable estimate : float;  (** the current estimate: {!smoothed} *)
+  mutable count : float;  (** samples taken, in a float cell *)
+  mutable last : float;
+      (** the latest [R_sample] {!sample_echo} computed, positive or
+          not (0 before any) *)
+}
+(** An all-float record, so it is flat in the heap.  It is exposed
+    read-only so that a caller in another module can read [estimate]
+    as an unboxed float: {!smoothed} is a call that boxes its result,
+    since dune's dev profile ([-opaque]) inlines nothing across
+    modules. *)
 
 val create : ?q:float -> initial:float -> unit -> t
 (** [initial] seeds the estimate used before the first sample. *)
@@ -13,6 +25,11 @@ val create : ?q:float -> initial:float -> unit -> t
 val sample : t -> float -> unit
 (** Feed one measurement (seconds, must be positive). The first sample
     replaces the seed entirely. *)
+
+val sample_echo : t -> now:float -> tstamp_echo:float -> t_delay:float -> unit
+(** Compute [R_sample = now - tstamp_echo - t_delay] (RFC 3448 §4.3),
+    record it in [last], and feed it to {!sample} if it is positive.
+    Allocates nothing. *)
 
 val reseed : t -> float -> unit
 (** Replace the estimate with a fresh seed (handover onto a link with a

@@ -1,13 +1,19 @@
 (* Slab-packed implementation; [Sender_ref] is the record-based oracle.
 
    All mutable numeric state lives in one {!Engine.Slab} slot so that
-   10k senders share two flat arrays.  Rate/clock updates allocate
-   nothing only where the slab accessors inline (see {!Engine.Slab}:
-   not under [-opaque]); otherwise each float read or computed write
-   boxes two words, as a mutable float field in the old mixed record
-   did on every write.  The send tick keeps the
-   pending event inline (event + generation, preallocated fire thunk)
-   instead of an option-wrapped handle, mirroring {!Engine.Timer}. *)
+   10k senders share two flat arrays.  Float cells are read and written
+   through the slab's view ([Slab.floats] at this slot's row base
+   [fb]), so each access is a raw unboxed load or store in this module
+   and the rate/clock updates box nothing; the float helpers below
+   ([clamp], [instantaneous_rate]) are inlined for the same reason.
+   What a feedback still allocates comes from calls into other modules
+   that take or return a float: the nofeedback timer's delay and event
+   time (4 words), and when p > 0 the throughput equation's argument
+   and result (4 more).  The RTT filter takes its sample from the
+   already-boxed echo fields and is read back through its flat record.
+   The send tick keeps the pending event inline (event + generation,
+   preallocated fire thunk) instead of an option-wrapped handle,
+   mirroring {!Engine.Timer}. *)
 
 type params = {
   packet_size : int;
@@ -60,6 +66,7 @@ type t = {
   rtt : Rtt.t;
   ar : Engine.Slab.t;
   slot : int;
+  fb : int;  (* row base of [slot] in [Slab.floats ar] *)
   mutable fire : unit -> unit;  (* built once in [create] *)
   mutable tick_ev : Engine.Event.t;  (* meaningful only when armed *)
   mutable tick_gen : int;
@@ -67,10 +74,13 @@ type t = {
   mutable nofeedback : Engine.Timer.t option;
 }
 
-let[@inline] x t = Engine.Slab.fget t.ar t.slot f_x
-let[@inline] set_x t v = Engine.Slab.fset t.ar t.slot f_x v
-let[@inline] fget t j = Engine.Slab.fget t.ar t.slot j
-let[@inline] fset t j v = Engine.Slab.fset t.ar t.slot j v
+let[@inline] fget t j = Array.unsafe_get (Engine.Slab.floats t.ar) (t.fb + j)
+
+let[@inline] fset t j v =
+  Array.unsafe_set (Engine.Slab.floats t.ar) (t.fb + j) v
+
+let[@inline] x t = fget t f_x
+let[@inline] set_x t v = fset t f_x v
 let[@inline] iget t j = Engine.Slab.iget t.ar t.slot j
 let[@inline] iset t j v = Engine.Slab.iset t.ar t.slot j v
 let[@inline] flag t m = iget t i_flags land m <> 0
@@ -94,12 +104,12 @@ let trace_rate t ~x_calc ~x_recv ~p =
            slow_start = flag t fl_slow_start;
          })
 
-let s_float t = float_of_int t.p.packet_size
+let[@inline] s_float t = float_of_int t.p.packet_size
 
 (* Clamp X to [floor, ceiling]: the gTFRC guarantee g below, the
    application/interface rate above, and never below one packet per
    maximum backoff interval. *)
-let clamp t v =
+let[@inline] clamp t v =
   let v = Float.max v (s_float t /. t.p.t_mbi) in
   let v = Float.max v (t.p.min_rate_bps /. 8.0) in
   match t.p.max_rate_bps with
@@ -111,7 +121,7 @@ let rate_bps t = 8.0 *. x t
 (* §4.5: the instantaneous rate is damped by sqrt(R_sample)/R_sqmean; a
    rising RTT (queue building) slows the sender below X before the next
    equation update, and vice versa. *)
-let[@vtp.hot] instantaneous_rate t =
+let[@inline] [@vtp.hot] instantaneous_rate t =
   let r_sqmean = fget t f_r_sqmean and r_sample_last = fget t f_r_sample_last in
   if t.p.oscillation_damping && r_sqmean > 0.0 && r_sample_last > 0.0 then
     x t *. r_sqmean /. sqrt r_sample_last
@@ -119,7 +129,8 @@ let[@vtp.hot] instantaneous_rate t =
 
 let instantaneous_rate_bps t = 8.0 *. instantaneous_rate t
 
-let[@vtp.hot] inter_packet_interval t = s_float t /. instantaneous_rate t
+let[@inline] [@vtp.hot] inter_packet_interval t =
+  s_float t /. instantaneous_rate t
 
 let[@vtp.hot] schedule_tick t ~after =
   if t.tick_armed then Engine.Sim.cancel_ev t.sim t.tick_ev ~gen:t.tick_gen;
@@ -161,16 +172,24 @@ let nofeedback_timer t =
       t.nofeedback <- Some tm;
       tm
 
-let restart_nofeedback t =
+let[@inline] restart_nofeedback t =
   let tm = nofeedback_timer t in
   Engine.Timer.start tm
-    ~after:(Float.max (4.0 *. Rtt.smoothed t.rtt) (2.0 *. s_float t /. x t))
+    ~after:
+      (Float.max (4.0 *. t.rtt.Rtt.estimate) (2.0 *. s_float t /. x t))
 
 let create ~sim ?cost ?trace p ~on_transmit () =
-  assert (p.packet_size > 0 && p.initial_rtt > 0.0 && p.t_mbi > 0.0);
+  (* Written so that a NaN fails the test as well. *)
+  if p.packet_size <= 0 then
+    invalid_arg "Tfrc.Sender.create: packet_size must be > 0";
+  if not (p.initial_rtt > 0.0) then
+    invalid_arg "Tfrc.Sender.create: initial_rtt must be > 0";
+  if not (p.t_mbi > 0.0) then
+    invalid_arg "Tfrc.Sender.create: t_mbi must be > 0";
   let p = Engine.Intern.share params_pool p in
   let rtt = Rtt.create ~initial:p.initial_rtt () in
   let ar = Engine.Sim.arena sim lay in
+  let slot = Engine.Slab.alloc ar in
   let t =
     {
       sim;
@@ -180,7 +199,8 @@ let create ~sim ?cost ?trace p ~on_transmit () =
       on_transmit;
       rtt;
       ar;
-      slot = Engine.Slab.alloc ar;
+      slot;
+      fb = Engine.Slab.fbase ar slot;
       fire = Engine.Event.noop;
       tick_ev = Engine.Event.make_dummy ();
       tick_gen = 0;
@@ -222,9 +242,9 @@ let[@vtp.hot] on_feedback t ~tstamp_echo ~t_delay ~x_recv ~p =
   iset t i_feedbacks (iget t i_feedbacks + 1);
   fset t f_last_p p;
   let now = Engine.Sim.now t.sim in
-  let sample = now -. tstamp_echo -. t_delay in
+  Rtt.sample_echo t.rtt ~now ~tstamp_echo ~t_delay;
+  let sample = t.rtt.Rtt.last in
   if sample > 0.0 then begin
-    Rtt.sample t.rtt sample;
     fset t f_r_sample_last sample;
     let r_sqmean = fget t f_r_sqmean in
     fset t f_r_sqmean
@@ -234,7 +254,8 @@ let[@vtp.hot] on_feedback t ~tstamp_echo ~t_delay ~x_recv ~p =
       Trace.Sink.emit t.trace
         (Trace.Event.Rtt_sample { sample; srtt = Rtt.smoothed t.rtt })
   end;
-  let r = Rtt.smoothed t.rtt in
+  (* Read unboxed: boxed only if the equation below needs it. *)
+  let r = t.rtt.Rtt.estimate in
   let x_calc =
     if p > 0.0 then begin
       set_flag t fl_slow_start false;

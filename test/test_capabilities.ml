@@ -165,6 +165,171 @@ let prop_negotiation_sound =
           && List.mem a.C.mode r.C.reliability
           && a.C.target_bps <= i.C.qos_target_bps)
 
+(* The in-place decoders against the split-and-assoc decoders they
+   replaced, on strings assembled from codec fragments, valid and not:
+   every input must give the same record or the same error. *)
+module Split_decoder = struct
+  let ( let* ) = Result.bind
+
+  let fields_of s =
+    match String.split_on_char ';' s with
+    | magic :: rest ->
+        let kvs =
+          List.filter_map
+            (fun part ->
+              match String.index_opt part '=' with
+              | Some i ->
+                  Some
+                    ( String.sub part 0 i,
+                      String.sub part (i + 1) (String.length part - i - 1) )
+              | None -> None)
+            rest
+        in
+        Ok (magic, kvs)
+    | [] -> Error "empty capability string"
+
+  let lookup kvs k =
+    match List.assoc_opt k kvs with
+    | Some v -> Ok v
+    | None -> Error ("missing field: " ^ k)
+
+  let parse_list of_string s =
+    let items = if s = "" then [] else String.split_on_char ',' s in
+    List.fold_left
+      (fun acc item ->
+        let* acc = acc in
+        let* x = of_string item in
+        Ok (acc @ [ x ]))
+      (Ok []) items
+
+  let parse_float name s =
+    match float_of_string_opt s with
+    | Some f -> Ok f
+    | None -> Error ("bad float in " ^ name)
+
+  let parse_int name s =
+    match int_of_string_opt s with
+    | Some i -> Ok i
+    | None -> Error ("bad int in " ^ name)
+
+  let plane_of_string = function
+    | "std" -> Ok C.Standard
+    | "light" -> Ok C.Light
+    | s -> Error ("unknown feedback plane: " ^ s)
+
+  let mode_of_string = function
+    | "none" -> Ok C.R_none
+    | "partial" -> Ok C.R_partial
+    | "full" -> Ok C.R_full
+    | s -> Error ("unknown reliability mode: " ^ s)
+
+  let decode_offer s =
+    let* magic, kvs = fields_of s in
+    if magic <> "qtp1-offer" then Error ("bad magic: " ^ magic)
+    else
+      let* planes_s = lookup kvs "planes" in
+      let* planes = parse_list plane_of_string planes_s in
+      let* rel_s = lookup kvs "rel" in
+      let* reliability = parse_list mode_of_string rel_s in
+      let* g_s = lookup kvs "g" in
+      let* qos_target_bps = parse_float "g" g_s in
+      let* pmr_s = lookup kvs "pmr" in
+      let* partial_max_retx = parse_int "pmr" pmr_s in
+      let* pdl_s = lookup kvs "pdl" in
+      let* partial_deadline = parse_float "pdl" pdl_s in
+      let* ecn_s = lookup kvs "ecn" in
+      let* ecn_i = parse_int "ecn" ecn_s in
+      if planes = [] then Error "offer with no feedback plane"
+      else if reliability = [] then Error "offer with no reliability mode"
+      else
+        Ok
+          {
+            C.planes;
+            reliability;
+            qos_target_bps;
+            partial_max_retx;
+            partial_deadline;
+            ecn = ecn_i <> 0;
+          }
+
+  let decode_agreed s =
+    let* magic, kvs = fields_of s in
+    if magic <> "qtp1-agreed" then Error ("bad magic: " ^ magic)
+    else
+      let* plane_s = lookup kvs "plane" in
+      let* plane = plane_of_string plane_s in
+      let* mode_s = lookup kvs "rel" in
+      let* mode = mode_of_string mode_s in
+      let* g_s = lookup kvs "g" in
+      let* target_bps = parse_float "g" g_s in
+      let* pmr_s = lookup kvs "pmr" in
+      let* max_retx = parse_int "pmr" pmr_s in
+      let* pdl_s = lookup kvs "pdl" in
+      let* deadline = parse_float "pdl" pdl_s in
+      let* ecn_s = lookup kvs "ecn" in
+      let* ecn_i = parse_int "ecn" ecn_s in
+      Ok
+        {
+          C.plane;
+          mode;
+          target_bps;
+          max_retx;
+          deadline;
+          use_ecn = ecn_i <> 0;
+        }
+end
+
+let gen_capability_string =
+  let open QCheck.Gen in
+  let fragment =
+    oneofl
+      [
+        "qtp1-offer"; "qtp1-agreed"; "qtp1"; ";"; ";"; ";"; "="; "=";
+        "planes"; "plane"; "rel"; "g"; "pmr"; "pdl"; "ecn"; "x"; "std";
+        "light"; "none"; "partial"; "full"; "std,light"; "light,,std";
+        ","; "1.5e6"; "0"; "3"; "-1"; "0x10"; "1_000"; "nan"; "inf"; "abc";
+        "0.25"; " ";
+      ]
+  in
+  let valid =
+    oneofl
+      [
+        C.encode_offer (offer ~planes:[ C.Light; C.Standard ] ());
+        C.encode_agreed
+          {
+            C.plane = C.Light;
+            mode = C.R_partial;
+            target_bps = 1e6;
+            max_retx = 2;
+            deadline = 0.5;
+            use_ecn = true;
+          };
+      ]
+  in
+  (* a valid encoding with fragments spliced in, or fragments alone *)
+  frequency
+    [
+      ( 1,
+        map2
+          (fun v (cut, extra) ->
+            let cut = cut mod (String.length v + 1) in
+            String.sub v 0 cut ^ String.concat "" extra
+            ^ String.sub v cut (String.length v - cut))
+          valid
+          (pair nat (list_size (int_range 0 4) fragment)) );
+      (1, map (String.concat "") (list_size (int_range 0 24) fragment));
+    ]
+
+let prop_decoders_match_split_decoders =
+  QCheck.Test.make ~name:"in-place decoders match the split decoders"
+    ~count:1000
+    (QCheck.make ~print:(fun s -> s) gen_capability_string)
+    (fun s ->
+      (* compare, not (=): a NaN field must count as equal *)
+      Stdlib.compare (C.decode_offer s) (Split_decoder.decode_offer s) = 0
+      && Stdlib.compare (C.decode_agreed s) (Split_decoder.decode_agreed s)
+         = 0)
+
 let suite =
   [
     Alcotest.test_case "initiator preference" `Quick
@@ -180,4 +345,5 @@ let suite =
     Alcotest.test_case "to_policy" `Quick test_to_policy;
     QCheck_alcotest.to_alcotest prop_offer_roundtrip;
     QCheck_alcotest.to_alcotest prop_negotiation_sound;
+    QCheck_alcotest.to_alcotest prop_decoders_match_split_decoders;
   ]

@@ -181,6 +181,32 @@ let test_feedback_flows_both_planes () =
   Alcotest.(check bool) "bytes counted" true
     (Qtp.Connection.feedback_bytes light > 0)
 
+let test_config_rejects () =
+  let agreed =
+    {
+      Qtp.Capabilities.plane = Qtp.Capabilities.Light;
+      mode = Qtp.Capabilities.R_none;
+      target_bps = 0.0;
+      max_retx = 0;
+      deadline = 0.0;
+      use_ecn = false;
+    }
+  in
+  List.iter
+    (fun mss ->
+      Alcotest.check_raises
+        (Printf.sprintf "packet_size %d" mss)
+        (Invalid_argument "Qtp.Connection.config: packet_size must be > 0")
+        (fun () -> ignore (Qtp.Connection.config ~packet_size:mss agreed)))
+    [ 0; -1 ];
+  List.iter
+    (fun rtt ->
+      Alcotest.check_raises
+        (Printf.sprintf "initial_rtt %g" rtt)
+        (Invalid_argument "Qtp.Connection.config: initial_rtt must be > 0")
+        (fun () -> ignore (Qtp.Connection.config ~initial_rtt:rtt agreed)))
+    [ 0.0; -0.2; Float.nan ]
+
 let suite =
   [
     Alcotest.test_case "clean path fills link" `Quick test_clean_path_fills_link;
@@ -202,4 +228,6 @@ let suite =
       test_negotiation_failure_is_clean;
     Alcotest.test_case "feedback on both planes" `Quick
       test_feedback_flows_both_planes;
+    Alcotest.test_case "config rejects bad MSS and RTT" `Quick
+      test_config_rejects;
   ]

@@ -131,6 +131,66 @@ let test_asymptote_near_zero () =
     true
     (ratio < 1.0 && ratio > 1.0 -. 2e-5)
 
+(* The unboxed bisection against the recursive one over [rate] it
+   replaced: bit-identical seeds, and no allocation beyond the boxed
+   result. *)
+let reference_loss_rate_for ~s ~r ~target =
+  let f p = Tfrc.Equation.rate ~s ~r ~p () in
+  let lo = 1e-8 and hi = 1.0 in
+  if f hi >= target then 1.0
+  else if f lo <= target then lo
+  else begin
+    let rec bisect lo hi n =
+      if n = 0 then (lo +. hi) /. 2.0
+      else begin
+        let mid = (lo +. hi) /. 2.0 in
+        if f mid > target then bisect mid hi (n - 1) else bisect lo mid (n - 1)
+      end
+    in
+    bisect lo hi 60
+  end
+
+let prop_inverse_matches_reference =
+  QCheck.Test.make ~name:"loss_rate_for is bit-identical to the recursive bisection"
+    ~count:300
+    QCheck.(triple (int_range 1 9000) (float_range 1e-4 2.0) (float_range 1.0 1e9))
+    (fun (s, r, target) ->
+      Int64.equal
+        (Int64.bits_of_float (Tfrc.Equation.loss_rate_for ~s ~r ~target))
+        (Int64.bits_of_float (reference_loss_rate_for ~s ~r ~target)))
+
+let test_inverse_words () =
+  let s = 1000 and r = Sys.opaque_identity 0.08
+  and target = Sys.opaque_identity 40_000.0 in
+  ignore (Tfrc.Equation.loss_rate_for ~s ~r ~target : float);
+  let before = Gc.minor_words () in
+  for _ = 1 to 100 do
+    ignore (Tfrc.Equation.loss_rate_for ~s ~r ~target : float)
+  done;
+  Alcotest.(check (float 0.0)) "words per call (the boxed result)" 2.0
+    ((Gc.minor_words () -. before) /. 100.0)
+
+let test_rejects () =
+  let raises name msg f =
+    Alcotest.check_raises name (Invalid_argument msg) (fun () ->
+        ignore (f () : float))
+  in
+  raises "s 0" "Tfrc.Equation.rate: s must be > 0" (fun () ->
+      Tfrc.Equation.rate ~s:0 ~r:0.1 ~p:0.01 ());
+  List.iter
+    (fun r ->
+      raises
+        (Printf.sprintf "r %g" r)
+        "Tfrc.Equation.rate: r must be > 0"
+        (fun () -> Tfrc.Equation.rate ~s:1000 ~r ~p:0.01 ());
+      raises
+        (Printf.sprintf "loss_rate_for r %g" r)
+        "Tfrc.Equation.loss_rate_for: r must be > 0"
+        (fun () -> Tfrc.Equation.loss_rate_for ~s:1000 ~r ~target:1e4))
+    [ 0.0; -0.1; Float.nan ];
+  raises "loss_rate_for s 0" "Tfrc.Equation.loss_rate_for: s must be > 0"
+    (fun () -> Tfrc.Equation.loss_rate_for ~s:0 ~r:0.1 ~target:1e4)
+
 let suite =
   [
     Alcotest.test_case "golden values" `Quick test_golden_values;
@@ -144,5 +204,8 @@ let suite =
     Alcotest.test_case "rate_bps" `Quick test_rate_bps;
     Alcotest.test_case "inverse round-trip" `Quick test_inverse_roundtrip;
     Alcotest.test_case "inverse extremes" `Quick test_inverse_extremes;
+    Alcotest.test_case "inverse words" `Quick test_inverse_words;
+    Alcotest.test_case "rejects bad s and r" `Quick test_rejects;
     QCheck_alcotest.to_alcotest prop_inverse_consistent;
+    QCheck_alcotest.to_alcotest prop_inverse_matches_reference;
   ]

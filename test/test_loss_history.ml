@@ -256,10 +256,12 @@ let prop_p_in_unit_interval =
 
 module LHR = Tfrc.Loss_history_ref
 
-let differential_history_run ~seed ~steps =
+let bits_equal a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+let differential_history_run ~history ~discount ~seed ~steps =
   let rng = Engine.Rng.create ~seed in
-  let lh = LH.create ~ndup:3 () in
-  let lr = LHR.create ~ndup:3 () in
+  let lh = LH.create ~ndup:3 ~history ~discount () in
+  let lr = LHR.create ~ndup:3 ~history ~discount () in
   let ok = ref true in
   let expect b = if not b then ok := false in
   let next = ref 0 in
@@ -271,7 +273,14 @@ let differential_history_run ~seed ~steps =
   in
   for _ = 1 to steps do
     clock := !clock +. 0.002 +. Engine.Rng.float rng 0.006;
-    (match Engine.Rng.int rng 11 with
+    (match Engine.Rng.int rng 12 with
+    | 11 ->
+        (* ECN mark on the newest number (the very first step marks
+           before any packet, as a receiver whose first arrival is a
+           retransmission does). *)
+        let seq = S.of_int (Stdlib.max 0 (!next - 1)) in
+        LH.on_congestion_mark lh ~seq ~arrival:!clock ~rtt;
+        LHR.on_congestion_mark lr ~seq ~arrival:!clock ~rtt
     | 10 ->
         (* Mid-stream handover: both histories re-seed through the same
            discontinuity — 0 models the [`Reset] policy (clear), a
@@ -313,15 +322,17 @@ let differential_history_run ~seed ~steps =
     if List.length !pending > 16 then
       pending := List.filteri (fun j _ -> j < 16) !pending;
     expect (LH.losses lh = LHR.losses lr);
-    expect (LH.loss_events lh = LHR.loss_events lr)
+    expect (LH.loss_events lh = LHR.loss_events lr);
+    (* The rate after every step, bit for bit: the ring-and-one-pass
+       mean must sum in the list formulation's order. *)
+    expect (LH.closed_intervals lh = LHR.closed_intervals lr);
+    expect (bits_equal (LH.open_interval lh) (LHR.open_interval lr));
+    expect (bits_equal (LH.mean_interval lh) (LHR.mean_interval lr));
+    expect (bits_equal (LH.loss_event_rate lh) (LHR.loss_event_rate lr))
   done;
   expect (LH.packets_seen lh = LHR.packets_seen lr);
   expect (LH.congestion_marks lh = LHR.congestion_marks lr);
   expect (LH.max_seq lh = LHR.max_seq lr);
-  expect (LH.closed_intervals lh = LHR.closed_intervals lr);
-  expect (Float.equal (LH.open_interval lh) (LHR.open_interval lr));
-  expect (Float.equal (LH.mean_interval lh) (LHR.mean_interval lr));
-  expect (Float.equal (LH.loss_event_rate lh) (LHR.loss_event_rate lr));
   !ok
 
 let prop_differential_vs_reference =
@@ -330,7 +341,82 @@ let prop_differential_vs_reference =
       "run-length loss history matches the frozen reference (with handovers)"
     ~count:250
     QCheck.(pair (int_range 1 1_000_000) (int_range 1 400))
-    (fun (seed, steps) -> differential_history_run ~seed ~steps)
+    (fun (seed, steps) ->
+      List.for_all
+        (fun (history, discount) ->
+          differential_history_run ~history ~discount ~seed ~steps)
+        [
+          (1, true); (1, false); (2, true); (2, false);
+          (4, true); (4, false); (8, true); (8, false);
+        ])
+
+(* The rate-calc charges must not change with the representation:
+   with a full history, one rate costs eight terms with the open
+   interval plus the eight closed ones alone. *)
+let test_rate_calc_charges () =
+  let cost = Stats.Cost.create () and cost_ref = Stats.Cost.create () in
+  let lh = LH.create ~cost () and lr = LHR.create ~cost:cost_ref () in
+  List.iter
+    (fun i ->
+      let seq = S.of_int i and arrival = float_of_int i *. 0.05 in
+      LH.on_packet lh ~seq ~arrival ~rtt ~is_retx:false;
+      LHR.on_packet lr ~seq ~arrival ~rtt ~is_retx:false)
+    (List.filter (fun i -> i mod 20 <> 19) (range 0 400));
+  ignore (LH.loss_event_rate lh : float);
+  ignore (LHR.loss_event_rate lr : float);
+  Alcotest.(check (list (pair string int)))
+    "counters equal the reference's"
+    (Stats.Cost.counters cost_ref)
+    (Stats.Cost.counters cost);
+  let before = Stats.Cost.ops cost "lh.rate_calc" in
+  ignore (LH.loss_event_rate lh : float);
+  Alcotest.(check int) "terms per rate" 16
+    (Stats.Cost.ops cost "lh.rate_calc" - before)
+
+(* Allocation, measured from outside the library (so across the
+   [-opaque] boundary of the dev profile).  The arguments are boxed
+   once, outside the measured loops, as a caller's already are. *)
+let words_per_call n f =
+  f ();
+  let before = Gc.minor_words () in
+  for _ = 1 to n do
+    f ()
+  done;
+  (Gc.minor_words () -. before) /. float_of_int n
+
+let test_rate_words () =
+  (* Nine isolated losses: a full history of eight closed intervals
+     and an open one. *)
+  let losses = [ 10; 20; 31; 43; 56; 70; 85; 101; 118 ] in
+  let lh =
+    feed ~gap:0.05
+      (List.filter (fun i -> not (List.mem i losses)) (range 0 122))
+  in
+  Alcotest.(check int) "eight closed intervals" 8
+    (List.length (LH.closed_intervals lh));
+  Alcotest.(check (float 0.0)) "words per loss_event_rate (the boxed result)"
+    2.0
+    (words_per_call 1000 (fun () -> ignore (LH.loss_event_rate lh : float)))
+
+let test_in_order_packet_words () =
+  let lh = LH.create () in
+  let arrival = Sys.opaque_identity 1.0 and rtt = Sys.opaque_identity rtt in
+  let next = ref 0 in
+  let words =
+    words_per_call 1000 (fun () ->
+        LH.on_packet lh ~seq:(S.of_int !next) ~arrival ~rtt ~is_retx:false;
+        incr next)
+  in
+  Alcotest.(check int) "no loss" 0 (LH.losses lh);
+  Alcotest.(check (float 0.0)) "words per in-order on_packet" 0.0 words
+
+let test_create_rejects () =
+  Alcotest.check_raises "history 0"
+    (Invalid_argument "Tfrc.Loss_history.create: history must be >= 1")
+    (fun () -> ignore (LH.create ~history:0 ()));
+  Alcotest.check_raises "ndup 0"
+    (Invalid_argument "Tfrc.Loss_history.create: ndup must be >= 1")
+    (fun () -> ignore (LH.create ~ndup:0 ()))
 
 (* Adversarial fragmentation: every second packet missing — the
    maximally fragmented hole pattern.  The epoch-virtualised promotion
@@ -379,6 +465,11 @@ let suite =
     Alcotest.test_case "cost charged" `Quick test_cost_charged;
     Alcotest.test_case "alternating-loss holes bounded" `Quick
       test_alternating_loss_holes_bounded;
+    Alcotest.test_case "rate-calc charges" `Quick test_rate_calc_charges;
+    Alcotest.test_case "loss_event_rate words" `Quick test_rate_words;
+    Alcotest.test_case "in-order on_packet words" `Quick
+      test_in_order_packet_words;
+    Alcotest.test_case "create rejects bad depth" `Quick test_create_rejects;
     QCheck_alcotest.to_alcotest prop_events_match_reference;
     QCheck_alcotest.to_alcotest prop_p_in_unit_interval;
     QCheck_alcotest.to_alcotest prop_differential_vs_reference;

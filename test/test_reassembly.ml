@@ -108,6 +108,117 @@ let prop_full_delivery_when_everything_arrives =
       List.iter (fun i -> R.on_data r ~seq:(S.of_int i) ~size:1) order;
       List.rev_map fst !delivered = List.init n Fun.id)
 
+(* Hostile forward points: the work and the allocation of a jump follow
+   the buffered segments, not the jump's width.  With three segments
+   buffered inside the jump and one beyond it, a jump of [width]
+   delivers the three, skips the rest, and then drains the one. *)
+let fwd_jump_words width =
+  let delivered = ref 0 and gaps = ref 0 in
+  let r =
+    R.create
+      ~deliver:(fun ~seq:_ ~size:_ -> incr delivered)
+      ~on_gap:(fun ~skipped:_ -> incr gaps)
+      ()
+  in
+  feed r [ 0; 5; 9; 17 ];
+  R.on_data r ~seq:(S.of_int width) ~size:100;
+  Alcotest.(check int) "buffered before the jump" 4 (R.buffered r);
+  let fwd = S.of_int width in
+  let before = Gc.minor_words () in
+  R.apply_fwd_point r fwd;
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check int) "delivered: prefix, three inside, one drained" 5
+    (R.delivered r);
+  Alcotest.(check int) "skipped" (width - 1 - 3) (R.skipped r);
+  Alcotest.(check int) "one gap report" 1 !gaps;
+  Alcotest.(check int) "callbacks" 5 !delivered;
+  Alcotest.(check int) "nothing left" 0 (R.buffered r);
+  Alcotest.(check int) "next expected" ((width + 1) land 0xFFFFFFFF)
+    (S.to_int (R.next_expected r));
+  words
+
+let test_fwd_point_jump_constant () =
+  let w6 = fwd_jump_words 1_000_000 and w31 = fwd_jump_words 0x7FFFFFFF in
+  Alcotest.(check (float 0.0)) "jump of 10^6 allocates nothing" 0.0 w6;
+  Alcotest.(check (float 0.0)) "jump of 2^31 - 1 allocates nothing" 0.0 w31
+
+(* Steady state allocates nothing: in-order delivery, and a hole that
+   buffers a few segments and is then repaired. *)
+let test_steady_state_words () =
+  let r = R.create ~deliver:(fun ~seq:_ ~size:_ -> ()) ~on_gap:(fun ~skipped:_ -> ()) () in
+  let round base =
+    R.on_data r ~seq:(S.of_int (base + 1)) ~size:100;
+    R.on_data r ~seq:(S.of_int (base + 2)) ~size:100;
+    R.on_data r ~seq:(S.of_int base) ~size:100;
+    R.on_data r ~seq:(S.of_int (base + 3)) ~size:100
+  in
+  round 0;
+  let before = Gc.minor_words () in
+  for k = 1 to 1000 do
+    round (4 * k)
+  done;
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check int) "all delivered" 4004 (R.delivered r);
+  Alcotest.(check (float 0.0)) "words" 0.0 words
+
+(* The run-array buffer against a plain model: random arrivals and
+   forward points, and the delivery sequence, gap reports and counters
+   must match exactly. *)
+let prop_matches_model =
+  QCheck.Test.make ~name:"reassembly matches a per-number model" ~count:300
+    QCheck.(list (pair bool (int_bound 40)))
+    (fun ops ->
+      let out = ref [] and model_out = ref [] in
+      let r =
+        R.create
+          ~deliver:(fun ~seq ~size -> out := `D (S.to_int seq, size) :: !out)
+          ~on_gap:(fun ~skipped -> out := `G skipped :: !out)
+          ()
+      in
+      let buf = Hashtbl.create 16 and next = ref 0 in
+      let rec drain () =
+        match Hashtbl.find_opt buf !next with
+        | Some size ->
+            Hashtbl.remove buf !next;
+            model_out := `D (!next, size) :: !model_out;
+            incr next;
+            drain ()
+        | None -> ()
+      in
+      List.iteri
+        (fun i (is_fwd, k) ->
+          let target = !next + k - 5 in
+          if is_fwd then begin
+            R.apply_fwd_point r (S.of_int (Stdlib.max 0 target));
+            if target > !next then begin
+              let gap = ref 0 in
+              for s = !next to target - 1 do
+                match Hashtbl.find_opt buf s with
+                | Some size ->
+                    Hashtbl.remove buf s;
+                    model_out := `D (s, size) :: !model_out
+                | None -> incr gap
+              done;
+              next := target;
+              if !gap > 0 then model_out := `G !gap :: !model_out;
+              drain ()
+            end
+          end
+          else if target >= 0 then begin
+            R.on_data r ~seq:(S.of_int target) ~size:i;
+            if target >= !next && not (Hashtbl.mem buf target) then
+              if target = !next then begin
+                model_out := `D (target, i) :: !model_out;
+                incr next;
+                drain ()
+              end
+              else Hashtbl.replace buf target i
+          end)
+        ops;
+      !out = !model_out
+      && R.buffered r = Hashtbl.length buf
+      && S.to_int (R.next_expected r) = !next)
+
 let suite =
   [
     Alcotest.test_case "in order" `Quick test_in_order_immediate;
@@ -121,5 +232,9 @@ let suite =
     Alcotest.test_case "fwd delivers buffered" `Quick
       test_fwd_point_delivers_buffered_inside_range;
     Alcotest.test_case "fwd backwards noop" `Quick test_fwd_point_noop_backwards;
+    Alcotest.test_case "fwd jump constant words" `Quick
+      test_fwd_point_jump_constant;
+    Alcotest.test_case "steady state words" `Quick test_steady_state_words;
     QCheck_alcotest.to_alcotest prop_full_delivery_when_everything_arrives;
+    QCheck_alcotest.to_alcotest prop_matches_model;
   ]

@@ -124,7 +124,7 @@ let prop_matches_full_receiver =
             Engine.Sim.post_at sim
               (rtt +. (float_of_int i *. gap))
               (fun () ->
-                Tfrc.Receiver.on_data rcv
+                Tfrc.Receiver.on_data rcv ~ce:false
                   {
                     Packet.Header.seq = S.of_int i;
                     tstamp = float_of_int i *. gap;
@@ -153,6 +153,33 @@ let prop_matches_full_receiver =
       if p_r = 0.0 then p_s = 0.0
       else Float.abs (p_s -. p_r) /. p_r < 0.1)
 
+(* Allocation of one replayed cover, measured from outside the library
+   (across the dev profile's [-opaque] boundary), with the arguments
+   boxed once outside the loop as the scoreboard's caller has them. *)
+let test_push_cover_words () =
+  let lr = LR.create () in
+  let sent_at = Sys.opaque_identity 1.0
+  and rtt = Sys.opaque_identity rtt
+  and x_recv = Sys.opaque_identity 1.0e6 in
+  let batch = LR.begin_batch lr in
+  let push i =
+    LR.push_cover lr ~seq:(S.of_int i) ~sent_at ~was_retx:false ~rtt ~x_recv
+      ~packet_size:1500
+  in
+  for i = 0 to 9 do
+    push i
+  done;
+  let before = Gc.minor_words () in
+  for i = 10 to 1009 do
+    push i
+  done;
+  let words = Gc.minor_words () -. before in
+  LR.end_batch lr batch;
+  Alcotest.(check int) "no loss" 0 (LR.loss_events lr);
+  Alcotest.(check int) "all replayed" 1010
+    (Tfrc.Loss_history.packets_seen (LR.history lr));
+  Alcotest.(check (float 0.0)) "words per push_cover" 0.0 (words /. 1000.0)
+
 let suite =
   [
     Alcotest.test_case "no loss" `Quick test_no_loss;
@@ -164,5 +191,6 @@ let suite =
     Alcotest.test_case "batching invariant" `Quick
       test_batched_covers_equal_unbatched;
     Alcotest.test_case "matches receiver side" `Quick test_matches_receiver_side;
+    Alcotest.test_case "push_cover words" `Quick test_push_cover_words;
     QCheck_alcotest.to_alcotest prop_matches_full_receiver;
   ]

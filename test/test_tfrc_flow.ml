@@ -48,7 +48,7 @@ let make_pair ?(min_rate_bps = 0.0) ?(loss_every = 0) sim =
       in
       ignore
         (Engine.Sim.schedule_after sim owd (fun () ->
-             Tfrc.Receiver.on_data receiver d ~size:1000))
+             Tfrc.Receiver.on_data receiver ~ce:false d ~size:1000))
     end;
     true
   in
@@ -188,6 +188,96 @@ let test_stop () =
   Engine.Sim.run ~until:5.0 sim;
   Alcotest.(check int) "no sends after stop" at_stop !sent
 
+(* Allocation, measured from this library (across the dev profile's
+   [-opaque] boundary); arguments are boxed once, outside the measured
+   loops, as a caller's already are. *)
+let words_per_call n f =
+  for _ = 1 to 10 do
+    f ()
+  done;
+  let before = Gc.minor_words () in
+  for _ = 1 to n do
+    f ()
+  done;
+  (Gc.minor_words () -. before) /. float_of_int n
+
+let test_receiver_in_order_words () =
+  let sim = Engine.Sim.create () in
+  let rcv = Tfrc.Receiver.create ~sim ~send_feedback:(fun _ -> ()) () in
+  let n = 1000 in
+  let hdrs =
+    Array.init (n + 10) (fun i ->
+        {
+          Packet.Header.seq = Packet.Serial.of_int i;
+          tstamp = 0.0;
+          rtt_estimate = 0.1;
+          is_retransmit = false;
+          fwd_point = Packet.Serial.of_int i;
+        })
+  in
+  let i = ref 0 in
+  let words =
+    words_per_call n (fun () ->
+        Tfrc.Receiver.on_data rcv ~ce:false hdrs.(!i) ~size:1000;
+        incr i)
+  in
+  Alcotest.(check int) "no loss event" 0 (Tfrc.Receiver.loss_events rcv);
+  Alcotest.(check (float 0.0)) "words per in-order on_data" 0.0 words
+
+(* A feedback allocates only where a computed float crosses into
+   another module: the nofeedback timer's delay and its event's time
+   (4 words), and at p > 0 also the equation's argument and result. *)
+let test_sender_feedback_words () =
+  let words_at p =
+    let sim = Engine.Sim.create () in
+    let params =
+      { Tfrc.Sender.default_params with packet_size = 1000; initial_rtt = 0.1 }
+    in
+    let snd =
+      Tfrc.Sender.create ~sim params ~on_transmit:(fun () -> true) ()
+    in
+    Tfrc.Sender.start snd;
+    Engine.Sim.run ~until:1.0 sim;
+    let tstamp_echo = Sys.opaque_identity 0.9
+    and t_delay = Sys.opaque_identity 0.001
+    and x_recv = Sys.opaque_identity 1e5
+    and p = Sys.opaque_identity p in
+    let words =
+      words_per_call 1000 (fun () ->
+          Tfrc.Sender.on_feedback snd ~tstamp_echo ~t_delay ~x_recv ~p)
+    in
+    Alcotest.(check int) "feedbacks" 1010
+      (Tfrc.Sender.feedbacks_processed snd);
+    words
+  in
+  Alcotest.(check (float 0.0)) "words per on_feedback at p > 0" 8.0
+    (words_at 0.01);
+  Alcotest.(check (float 0.0)) "words per on_feedback at p = 0" 4.0
+    (words_at 0.0)
+
+let test_sender_create_rejects () =
+  let sim = Engine.Sim.create () in
+  let create p =
+    ignore (Tfrc.Sender.create ~sim p ~on_transmit:(fun () -> true) ())
+  in
+  let d = Tfrc.Sender.default_params in
+  let msg what = Invalid_argument ("Tfrc.Sender.create: " ^ what) in
+  Alcotest.check_raises "packet_size 0" (msg "packet_size must be > 0")
+    (fun () -> create { d with packet_size = 0 });
+  Alcotest.check_raises "packet_size < 0" (msg "packet_size must be > 0")
+    (fun () -> create { d with packet_size = -1500 });
+  List.iter
+    (fun v ->
+      Alcotest.check_raises
+        (Printf.sprintf "initial_rtt %g" v)
+        (msg "initial_rtt must be > 0")
+        (fun () -> create { d with initial_rtt = v });
+      Alcotest.check_raises
+        (Printf.sprintf "t_mbi %g" v)
+        (msg "t_mbi must be > 0")
+        (fun () -> create { d with t_mbi = v }))
+    [ 0.0; -1.0; Float.nan ]
+
 let suite =
   [
     Alcotest.test_case "slow start doubles" `Quick test_slow_start_doubles;
@@ -199,4 +289,10 @@ let suite =
     Alcotest.test_case "no floor collapses" `Quick test_no_floor_collapses;
     Alcotest.test_case "idle and wake" `Quick test_idle_and_wake;
     Alcotest.test_case "stop" `Quick test_stop;
+    Alcotest.test_case "receiver in-order words" `Quick
+      test_receiver_in_order_words;
+    Alcotest.test_case "sender feedback words" `Quick
+      test_sender_feedback_words;
+    Alcotest.test_case "sender create rejects" `Quick
+      test_sender_create_rejects;
   ]
