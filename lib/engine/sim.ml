@@ -57,8 +57,6 @@ let arena t lay =
       t.arenas.(k) <- Some a;
       a
 
-let sched t = match t.queue with Q_heap _ -> `Heap | Q_wheel _ -> `Wheel
-
 let now t = t.clock
 
 let rng t = t.root_rng

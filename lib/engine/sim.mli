@@ -26,9 +26,6 @@ val create : ?seed:int -> ?sched:sched -> unit -> t
     from which components should [split] their own streams.  [sched]
     picks the queue backend (default [`Wheel]). *)
 
-val sched : t -> sched
-(** Which backend this simulation runs on. *)
-
 val now : t -> float
 (** Current virtual time. *)
 

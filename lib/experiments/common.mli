@@ -44,7 +44,6 @@ val af_rio : ?capacity_pkts:int -> rng:Engine.Rng.t -> unit -> Netsim.Qdisc.t
     [capacity_pkts] sized to their bandwidth-delay product. *)
 
 val af_dumbbell :
-  ?sched:Engine.Sim.sched ->
   ?capacity_pkts:int ->
   seed:int ->
   n_flows:int ->
@@ -54,9 +53,7 @@ val af_dumbbell :
   unit ->
   Engine.Sim.t * Netsim.Topology.t
 (** Dumbbell whose bottleneck runs {!af_rio}; per-flow edge markers are
-    installed for every positive committed rate.  [sched] selects the
-    simulation's event-queue backend (the scale benchmarks compare
-    both). *)
+    installed for every positive committed rate. *)
 
 val plain_dumbbell :
   seed:int ->

@@ -84,8 +84,9 @@ let pp fmt v = Format.pp_print_string fmt (to_string v)
 (* ------------------------------------------------------------------ *)
 (* Parsing.
 
-   A recursive-descent reader for standard JSON, added so tooling
-   (vtp_bench_diff) can read the reports this module writes back in.
+   A recursive-descent reader for standard JSON, so tooling (the
+   analyzer's baseline loader) can read the files this module writes
+   back in.
    Numbers without '.', 'e' or a leading '-that-overflows' parse as
    [Int]; everything else numeric parses as [Float].  \uXXXX escapes
    decode below 0x80 and degrade to '?' above (the emitter never

@@ -1,12 +1,12 @@
 (** Minimal JSON tree, serialiser and reader for machine-readable
-    outputs (benchmark reports, tooling hand-offs) — no external JSON
-    dependency.
+    outputs (SARIF reports, the analyzer baseline, qlog traces) — no
+    external JSON dependency.
 
     Serialisation is deterministic (object fields print in the order
     given), NaN and infinities are emitted as [null] so the output
     always parses, and strings are escaped per RFC 8259.  The reader
-    ({!of_string}) exists so in-repo tooling ([vtp_bench_diff]) can
-    load the reports this module writes back in; it accepts standard
+    ({!of_string}) exists so in-repo tooling ([Analysis.Baseline])
+    can load the files this module writes back in; it accepts standard
     JSON, not just our own output. *)
 
 type t =

@@ -19,10 +19,11 @@ let[@inline] [@vtp.hot] rate ~s ~r ~p () =
 let rate_bps ~s ~r ~p () = 8.0 *. rate ~s ~r ~p ()
 
 let loss_rate_for ~s ~r ~target =
-  assert (target > 0.0);
   if s <= 0 then invalid_arg "Tfrc.Equation.loss_rate_for: s must be > 0";
   if not (r > 0.0) then
     invalid_arg "Tfrc.Equation.loss_rate_for: r must be > 0";
+  if not (target > 0.0) then
+    invalid_arg "Tfrc.Equation.loss_rate_for: target must be > 0";
   (* [rate] inlines and the local refs never escape, so the bisection
      allocates nothing.  (A local [f p = rate ...] closure would not
      inline, and would box per call.) *)

@@ -25,4 +25,5 @@ val loss_rate_for : s:int -> r:float -> target:float -> float
     (RFC 3448 §6.3.1).  Returns 1.0 if even p=1 gives more than
     [target], and 1e-8 if p=1e-8 still gives less.  Allocates only its
     boxed result.
-    @raise Invalid_argument if [s <= 0] or [r] is not positive. *)
+    @raise Invalid_argument if [s <= 0], or if [r] or [target] is not
+    positive (NaN included). *)

@@ -23,7 +23,7 @@ let[@inline] update t r =
   t.count <- t.count +. 1.0
 
 let sample t r =
-  assert (r > 0.0);
+  if not (r > 0.0) then invalid_arg "Tfrc.Rtt.sample: r must be > 0";
   update t r
 
 (* Every argument arrives boxed already (the clock and two header
@@ -35,7 +35,7 @@ let[@vtp.hot] sample_echo t ~now ~tstamp_echo ~t_delay =
   if r > 0.0 then update t r
 
 let reseed t r =
-  assert (r > 0.0);
+  if not (r > 0.0) then invalid_arg "Tfrc.Rtt.reseed: r must be > 0";
   t.estimate <- r;
   t.count <- 0.0
 

@@ -24,7 +24,9 @@ val create : ?q:float -> initial:float -> unit -> t
 
 val sample : t -> float -> unit
 (** Feed one measurement (seconds, must be positive). The first sample
-    replaces the seed entirely. *)
+    replaces the seed entirely.
+    @raise Invalid_argument if the measurement is not positive (NaN
+    included). *)
 
 val sample_echo : t -> now:float -> tstamp_echo:float -> t_delay:float -> unit
 (** Compute [R_sample = now - tstamp_echo - t_delay] (RFC 3448 §4.3),
@@ -34,7 +36,9 @@ val sample_echo : t -> now:float -> tstamp_echo:float -> t_delay:float -> unit
 val reseed : t -> float -> unit
 (** Replace the estimate with a fresh seed (handover onto a link with a
     declared latency) and forget the sample count, so the next
-    measurement replaces the seed entirely as at creation. *)
+    measurement replaces the seed entirely as at creation.
+    @raise Invalid_argument if the seed is not positive (NaN
+    included). *)
 
 val smoothed : t -> float
 (** Current estimate (the seed if no sample yet). *)

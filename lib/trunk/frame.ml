@@ -6,6 +6,8 @@ let max_user = (1 lsl 24) - 1
 
 let max_len = 0xFFFF
 
+let max_segment_payload = 0x10000
+
 (* The check byte folds every header field, so a one-byte slip lands on
    a position whose check almost never validates; the magic keeps an
    all-zero window from self-validating. *)
@@ -79,7 +81,3 @@ let rec iter_go buf limit frame junk p junk_run =
   else iter_go buf limit frame junk (p + 1) (junk_run + 1)
 
 let iter buf ~pos ~len ~frame ~junk = iter_go buf (pos + len) frame junk pos 0
-
-let[@vtp.alloc_ok] scratch_key = Domain.DLS.new_key (fun () -> Bytes.create 65536)
-
-let scratch () = Domain.DLS.get scratch_key

@@ -19,9 +19,8 @@
     segment's payload is self-contained, so a lost segment costs only
     its own frames and never desyncs a neighbour.
 
-    Header and payload are written in place into a caller (or
-    domain-scratch) buffer, zero allocations on the batch-encode fast
-    path. *)
+    Header and payload are written in place into a caller's buffer,
+    zero allocations on the batch-encode fast path. *)
 
 val header_bytes : int
 (** 6 — per-sub-frame framing overhead. *)
@@ -36,6 +35,10 @@ val max_user : int
 
 val max_len : int
 (** Highest encodable sub-frame payload length (16-bit space). *)
+
+val max_segment_payload : int
+(** Largest segment payload budget a mux packs (64 KiB):
+    [Mux.attach] clips a larger budget to it. *)
 
 val measure : len:int -> int
 (** Bytes one sub-frame with [len] payload bytes occupies. *)
@@ -75,7 +78,3 @@ val iter :
     the parser advances one byte at a time until the next position
     validates, reporting each maximal skipped run through [junk].  A
     truncated tail is junk, never an exception. *)
-
-val scratch : unit -> Bytes.t
-(** A 64 KiB domain-local segment-packing buffer (one per domain, so
-    parallel suites each batch-encode allocation-free). *)

@@ -305,7 +305,7 @@ let source t = t.src
 let attach t ~conn ~seg_payload =
   if seg_payload <= Frame.header_bytes then
     invalid_arg "Trunk.Mux.attach: seg_payload must exceed frame header";
-  t.seg_payload <- Stdlib.min seg_payload (Bytes.length (Frame.scratch ()));
+  t.seg_payload <- Stdlib.min seg_payload Frame.max_segment_payload;
   t.conn <- Some conn;
   Qtp.Connection.set_on_deliver conn (fun ~seq ~size:_ -> deliver t ~seq)
 

@@ -191,6 +191,16 @@ let test_rejects () =
   raises "loss_rate_for s 0" "Tfrc.Equation.loss_rate_for: s must be > 0"
     (fun () -> Tfrc.Equation.loss_rate_for ~s:0 ~r:0.1 ~target:1e4)
 
+let test_rejects_target () =
+  List.iter
+    (fun target ->
+      Alcotest.check_raises
+        (Printf.sprintf "target %g" target)
+        (Invalid_argument "Tfrc.Equation.loss_rate_for: target must be > 0")
+        (fun () ->
+          ignore (Tfrc.Equation.loss_rate_for ~s:1000 ~r:0.1 ~target : float)))
+    [ 0.0; -1e4; Float.nan ]
+
 let suite =
   [
     Alcotest.test_case "golden values" `Quick test_golden_values;
@@ -206,6 +216,7 @@ let suite =
     Alcotest.test_case "inverse extremes" `Quick test_inverse_extremes;
     Alcotest.test_case "inverse words" `Quick test_inverse_words;
     Alcotest.test_case "rejects bad s and r" `Quick test_rejects;
+    Alcotest.test_case "rejects bad target" `Quick test_rejects_target;
     QCheck_alcotest.to_alcotest prop_inverse_consistent;
     QCheck_alcotest.to_alcotest prop_inverse_matches_reference;
   ]

@@ -53,6 +53,23 @@ let test_create_rejects () =
         (fun () -> ignore (Tfrc.Rtt.create ~q ~initial:0.5 ())))
     [ -0.1; 1.0; Float.nan ]
 
+let test_sample_reseed_reject () =
+  let r = Tfrc.Rtt.create ~initial:0.5 () in
+  List.iter
+    (fun v ->
+      Alcotest.check_raises
+        (Printf.sprintf "sample %g" v)
+        (Invalid_argument "Tfrc.Rtt.sample: r must be > 0")
+        (fun () -> Tfrc.Rtt.sample r v);
+      Alcotest.check_raises
+        (Printf.sprintf "reseed %g" v)
+        (Invalid_argument "Tfrc.Rtt.reseed: r must be > 0")
+        (fun () -> Tfrc.Rtt.reseed r v))
+    [ 0.0; -0.5; Float.nan ];
+  (* a rejected call leaves the estimator untouched *)
+  Alcotest.(check (float 0.0)) "seed kept" 0.5 (Tfrc.Rtt.smoothed r);
+  Alcotest.(check int) "no sample" 0 (Tfrc.Rtt.samples r)
+
 (* [sample_echo] is [sample] of [now - tstamp_echo - t_delay], skipped
    when that is not positive, and it records the sample it computed. *)
 let test_sample_echo () =
@@ -77,5 +94,7 @@ let suite =
     Alcotest.test_case "t_rto" `Quick test_t_rto;
     Alcotest.test_case "sample count" `Quick test_sample_count;
     Alcotest.test_case "create rejects" `Quick test_create_rejects;
+    Alcotest.test_case "sample and reseed reject" `Quick
+      test_sample_reseed_reject;
     Alcotest.test_case "sample from echo" `Quick test_sample_echo;
   ]

@@ -82,6 +82,42 @@ let test_sink_gating () =
           Alcotest.(check (float 0.0)) "sink stamped t2" 6.5 b.Trace.Ring.at
       | l -> Alcotest.failf "expected 2 sink events, got %d" (List.length l))
 
+(* Recording cost, in words per call of the zero-allocation sinks, on
+   a sink clocked by a simulation as the protocol endpoints use it.
+   With no recorder installed a present sink costs nothing; with one
+   installed, [seg_send] costs at most the boxed clock read, also once
+   the journal has wrapped. *)
+let sink_words ~calls f =
+  f ();
+  let before = Gc.minor_words () in
+  for _ = 1 to calls do
+    f ()
+  done;
+  (Gc.minor_words () -. before) /. float_of_int calls
+
+let test_sink_words () =
+  let sim = Engine.Sim.create ~seed:1 () in
+  let sink = Some (Trace.Sink.of_sim sim ~flow:3) in
+  let seq = Packet.Serial.of_int 17 and cum_ack = Packet.Serial.of_int 9 in
+  let seg_send () = Trace.Sink.seg_send sink ~seq ~size:1000 ~retx:false in
+  let sack_rcvd () =
+    Trace.Sink.sack_rcvd sink ~cum_ack ~blocks:2 ~acked:1 ~sacked:3 ~lost:0
+  in
+  Alcotest.(check (float 0.0)) "seg_send, recorder off" 0.0
+    (sink_words ~calls:1000 seg_send);
+  Alcotest.(check (float 0.0)) "sack_rcvd, recorder off" 0.0
+    (sink_words ~calls:1000 sack_rcvd);
+  let on, _ =
+    Trace.Recorder.with_recorder ~capacity:64 (fun () ->
+        for _ = 1 to 1000 do
+          seg_send ()
+        done;
+        sink_words ~calls:10_000 seg_send)
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "seg_send, recorder on: %.3f words <= 2" on)
+    true (on <= 2.0)
+
 (* The packed codec round-trips the handover vocabulary: tag-18
    [Handover] with interned path names, and the 2-bit drop-reason aux
    including [D_cut]. *)
@@ -208,6 +244,7 @@ let suite =
     Alcotest.test_case "recorder clears on exception" `Quick
       test_recorder_clear_on_exception;
     Alcotest.test_case "sink gating and stamping" `Quick test_sink_gating;
+    Alcotest.test_case "sink recording words" `Quick test_sink_words;
     Alcotest.test_case "handover/D_cut codec round-trip" `Quick
       test_codec_handover_roundtrip;
     Alcotest.test_case "canonical shape" `Quick test_canonical_shape;

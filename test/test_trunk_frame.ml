@@ -147,11 +147,11 @@ let test_header_bounds_rejected () =
   bad (fun () -> F.put_header buf ~pos:60 ~user:0 ~len:5)
 
 let test_pack_demux_zero_alloc () =
-  (* Mirror of the wire codec's bar (and the [trunk.frame] bench row):
-     packing 8 sub-frames into the domain scratch and demultiplexing
-     them back allocates nothing once warm. *)
+  (* Mirror of the wire codec's bar: packing 8 sub-frames into a
+     segment buffer and demultiplexing them back allocates nothing once
+     warm. *)
   let src = Bytes.make 256 'x' in
-  let buf = F.scratch () in
+  let buf = Bytes.create F.max_segment_payload in
   let digest = ref 0 in
   (* Callbacks and buffers hoisted out of the loop: a closure built per
      iteration would charge the measurement for the harness. *)
@@ -168,7 +168,7 @@ let test_pack_demux_zero_alloc () =
       F.iter buf ~pos:0 ~len:(8 * stride) ~frame:on_frame ~junk:on_junk
     done
   in
-  spin 100 (* warm-up: scratch + any one-time boxing *);
+  spin 100 (* warm-up: any one-time boxing *);
   let iters = 10_000 in
   let before = Gc.minor_words () in
   spin iters;
